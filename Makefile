@@ -97,7 +97,7 @@ serve-smoke: bins
 	BIN=bin ./scripts/serve_smoke.sh
 
 # serve-bench replays a heterogeneous ssl+record mix with deadlines and
-# client retries against a cost-dispatch wispd (asserting zero payload
+# client retries against a cost-aware wispd (asserting zero payload
 # mismatches and zero sheds issued while any shard sat idle), then runs
 # the session-resumption A/B: the abbreviated-handshake class's p99 must
 # beat the resume-off baseline.  Writes BENCH_serve.json.
@@ -114,7 +114,7 @@ serve-bench: bins
 serve-attack: bins
 	BIN=bin ./scripts/serve_attack.sh
 
-# serve-cluster is the cluster-scaling gate: the same wire-protocol
+# serve-cluster is the cluster-scaling gate: the same wire protocol
 # workload against one wispd direct and against wispgw routing over three
 # wispd backends.  Asserts resumption-rate parity through consistent-hash
 # session affinity (within 5 points of single-node, zero ring redirects),

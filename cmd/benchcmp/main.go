@@ -31,7 +31,7 @@ import (
 	"sort"
 	"strings"
 
-	"wisp/internal/serve"
+	"wisp/internal/loadgen"
 )
 
 func main() {
@@ -60,11 +60,11 @@ func main() {
 		return
 	}
 
-	base, err := serve.ReadBenchRecord(*baselinePath)
+	base, err := loadgen.ReadBenchRecord(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
-	cur, err := serve.ReadBenchRecord(*currentPath)
+	cur, err := loadgen.ReadBenchRecord(*currentPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -157,7 +157,7 @@ func main() {
 // baseline would gate apples against oranges); with -label the current
 // record must carry exactly that label, while an unlabeled baseline is
 // accepted so existing baselines keep working.
-func checkLabels(want string, base, cur *serve.BenchRecord) error {
+func checkLabels(want string, base, cur *loadgen.BenchRecord) error {
 	if base.Label != "" && cur.Label != "" && base.Label != cur.Label {
 		return fmt.Errorf("label mismatch: baseline %q vs current %q", base.Label, cur.Label)
 	}
@@ -178,7 +178,7 @@ func checkLabels(want string, base, cur *serve.BenchRecord) error {
 // mismatches.  Factor 1.0 is the strict A/B win ("resumed beats full");
 // the fairness gate runs with factor 1.5 ("legit p99 under attack stays
 // within 1.5x of attack-free").
-func assertP99LT(spec string, factor float64, base, cur *serve.BenchRecord) {
+func assertP99LT(spec string, factor float64, base, cur *loadgen.BenchRecord) {
 	parts := strings.SplitN(spec, "<", 2)
 	if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
 		fatal(fmt.Errorf("bad -assert-p99-lt spec %q (want 'curOp<baseOp')", spec))
@@ -214,7 +214,7 @@ func assertP99LT(spec string, factor float64, base, cur *serve.BenchRecord) {
 // assertRPSGT is the serve-bench batched A/B contract: the current
 // (batched) record must deliver throughput above the baseline (scalar)
 // record times factor, with zero digest mismatches on either side.
-func assertRPSGT(factor float64, base, cur *serve.BenchRecord) {
+func assertRPSGT(factor float64, base, cur *loadgen.BenchRecord) {
 	if factor <= 0 {
 		fatal(fmt.Errorf("bad -rps-factor %g (must be positive)", factor))
 	}

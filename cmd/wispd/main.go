@@ -1,31 +1,33 @@
 // Command wispd is the security-offload daemon: it serves SSL-transaction
-// and raw-primitive requests over HTTP, dispatching them across a
-// shard-per-worker pool of simulated platform instances with bounded
-// queues, record-layer batching, load-shedding and deadline-aware
-// rejection.  SIGINT/SIGTERM triggers a graceful drain: queued requests
-// finish, new ones are shed, then the process exits.
+// and raw-primitive requests over the binary wire protocol
+// (internal/wire), dispatching them across a shard-per-worker pool of
+// simulated platform instances with bounded queues, record-layer
+// batching, load-shedding and deadline-aware rejection.  SIGINT/SIGTERM
+// triggers a graceful drain: queued requests finish, new ones are shed,
+// then the process exits.
 //
 // Usage:
 //
-//	wispd [-addr 127.0.0.1:9311] [-listen-wire ""] [-shards N] [-queue 64]
-//	      [-batch 16] [-dispatch cost|rr] [-rsabits 512] [-record 1024]
+//	wispd [-addr 127.0.0.1:9311] [-admin-addr ""] [-shards N] [-queue 64]
+//	      [-batch 16] [-rsabits 512] [-record 1024]
 //	      [-seed 1] [-session-cache 4096] [-session-ttl 10m] [-pace-hz 0]
 //	      [-client-rate 0] [-client-burst 0] [-fair-limit 0] [-qos-quantum 0]
-//	      [-govern] [-govern-tick 500ms] [-govern-explore=true]
-//	      [-read-timeout 0] [-measured] [-metrics] [-pprof] [-addrfile PATH]
+//	      [-govern] [-govern-tick 500ms]
+//	      [-read-timeout 0] [-measured] [-metrics] [-addrfile PATH]
 //
-// -listen-wire opens a second listener speaking the binary wire protocol
-// (internal/wire) alongside HTTP; both front the same gateway.  -pace-hz
-// enables model-paced serving: each shard stretches SSL-shaped service
-// times to the analytic cycle estimate at the given clock (188e6 = the
-// paper's 188 MHz platform), which makes multi-node scaling experiments
-// honest on hosts with fewer cores than daemons.
+// -addr is the wire listener.  -admin-addr opens an operator HTTP listener
+// serving /stats (JSON, or ?format=text), /healthz and /debug/pprof/; it
+// carries no request traffic.  -pace-hz enables
+// model-paced serving: each shard stretches SSL-shaped service times to
+// the analytic cycle estimate at the given clock (188e6 = the paper's
+// 188 MHz platform), which makes multi-node scaling experiments honest
+// on hosts with fewer cores than daemons.
 // -client-rate enables per-client QoS isolation: each ClientID's
 // estimated-cost spend (µs of predicted service time per second) is
 // metered against a token bucket, and under saturation clients are
 // fair-queued with deficit round-robin ahead of shard dispatch.
-// -read-timeout bounds how long a connection may dribble one request
-// (the slow-loris defense).
+// -read-timeout bounds how long a connection may take to deliver one
+// frame once its first byte arrives (the slow-loris defense).
 //
 // With -measured the daemon characterizes the platform kernels on the ISS
 // at startup (Platform.SSLCosts) and prices transactions with those
@@ -36,35 +38,27 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"wisp"
-	"wisp/internal/explore"
 	"wisp/internal/governor"
-	"wisp/internal/mpz"
 	"wisp/internal/replica"
-	"wisp/internal/rsakey"
 	"wisp/internal/serve"
 	"wisp/internal/wire"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9311", "listen address (port 0 picks a free port)")
-	listenWire := flag.String("listen-wire", "", "binary wire-protocol listen address (empty = HTTP only; port 0 picks a free port)")
-	wireAddrFile := flag.String("wire-addrfile", "", "write the bound wire address to this file (for scripts)")
+	addr := flag.String("addr", "127.0.0.1:9311", "wire protocol listen address (port 0 picks a free port)")
+	adminAddr := flag.String("admin-addr", "", "operator HTTP listen address for /stats, /healthz and /debug/pprof/ (empty = none; port 0 picks a free port)")
 	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "per-shard queue depth")
 	batch := flag.Int("batch", 16, "max requests drained per shard cycle")
 	batchWidth := flag.Int("batch-width", 0, "RSA ops folded into one batched engine call per drain (0 = default 4; 1 = scalar)")
 	batchGather := flag.Int64("batch-gather-us", 0, "micro-batching window in µs: how long a shard waits to top an under-width RSA batch up before serving it (0 = no wait)")
-	dispatch := flag.String("dispatch", serve.DispatchCost,
-		"admission policy: cost (power-of-two-choices over per-op backlog estimates, with work stealing) or rr (blind round-robin)")
 	rsaBits := flag.Int("rsabits", 512, "gateway handshake key size")
 	record := flag.Int("record", 1024, "default record size for SSL transactions")
 	seed := flag.Int64("seed", 1, "determinism seed for shard key material")
@@ -78,14 +72,12 @@ func main() {
 	maxCost := flag.Int64("max-cost", 0, "per-request estimated-cost ceiling in µs; dearer requests are throttled (0 = no cap)")
 	peersFlag := flag.String("peers", "", "comma-separated wire addresses of ring peers for session-secret replication (@FILE reads the address from FILE at dial time; empty = replication off)")
 	replicaR := flag.Int("replica-r", 2, "session replication factor: copies of each session secret pushed to ring peers")
-	readTimeout := flag.Duration("read-timeout", 0, "max time a connection may take to deliver one full request (slow-loris defense; 0 = unbounded)")
-	govern := flag.Bool("govern", false, "run the adaptive performance governor (batch width/gather and engine re-selection from live telemetry)")
+	readTimeout := flag.Duration("read-timeout", 0, "max time one frame may take to arrive once its first byte has (slow-loris defense; 0 = unbounded)")
+	govern := flag.Bool("govern", false, "run the adaptive performance governor (batch width/gather from live telemetry)")
 	governTick := flag.Duration("govern-tick", 500*time.Millisecond, "governor control period")
-	governExplore := flag.Bool("govern-explore", true, "let the governor re-select the RSA engine configuration via the macro-model explorer (requires ISS characterization in the background)")
 	measured := flag.Bool("measured", false, "derive the analytic cost model on the ISS at startup")
 	metrics := flag.Bool("metrics", false, "print the text metrics dump on shutdown")
-	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ for allocation and CPU profiling")
-	addrFile := flag.String("addrfile", "", "write the bound address to this file (for scripts)")
+	addrFile := flag.String("addrfile", "", "write the bound wire address to this file (for scripts)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 	flag.Parse()
 
@@ -97,7 +89,6 @@ func main() {
 		BatchGatherUS: *batchGather,
 		RSABits:       *rsaBits,
 		RecordSize:    *record,
-		Dispatch:      *dispatch,
 		Seed:          *seed,
 		SessionCap:    *sessionCap,
 		SessionTTL:    *sessionTTL,
@@ -131,8 +122,8 @@ func main() {
 	// ring peers in the background, pull unknown offered sessions back on
 	// demand, so abbreviated handshakes survive the loss of the node that
 	// established them.  Peer addresses resolve at dial time (@FILE reads
-	// the address another node's -wire-addrfile wrote), so a cluster can
-	// boot all nodes concurrently without an address bootstrap order.
+	// the address another node's -addrfile wrote), so a cluster can boot
+	// all nodes concurrently without an address bootstrap order.
 	var rep *replica.Replicator
 	if *peersFlag != "" {
 		var peers []string
@@ -160,47 +151,44 @@ func main() {
 		}
 	}
 
-	// Adaptive governor: a control loop over windowed /stats deltas that
-	// retunes the batch width/gather window and (with -govern-explore)
-	// re-selects the shard RSA engine as the live workload mix shifts.
+	// Adaptive governor: a control loop over windowed stats deltas that
+	// retunes the batch width/gather window as the live workload shifts.
 	var gov *governor.Governor
 	if *govern {
-		logf := func(format string, args ...any) {
-			fmt.Printf("wispd: governor: "+format+"\n", args...)
-		}
-		gcfg := governor.Config{
+		gov = governor.New(governor.Config{
 			Tick:     *governTick,
 			Snapshot: func() serve.Stats { return gw.Stats() },
 			Tuner:    gw,
-			Logf:     logf,
-		}
-		if *governExplore {
-			gcfg.Scorer = buildScorer(*seed, *rsaBits, logf)
-		}
-		gov = governor.New(gcfg)
+			Logf: func(format string, args ...any) {
+				fmt.Printf("wispd: governor: "+format+"\n", args...)
+			},
+		})
 		gw.SetGovernorView(gov.View)
 		go gov.Run()
-		fmt.Printf("wispd: governor on — tick %s, explore %v\n", *governTick, *governExplore)
+		fmt.Printf("wispd: governor on — tick %s\n", *governTick)
 	}
 
-	srv := serve.NewServer(gw)
-	if *pprofFlag {
-		srv.EnablePprof()
-	}
-	if *readTimeout > 0 {
-		srv.SetReadTimeout(*readTimeout)
-	}
+	srv := wire.NewServer(gw, wire.ServerConfig{ReadTimeout: *readTimeout})
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fatal(err)
+	}
+	var admin *serve.Admin
+	if *adminAddr != "" {
+		admin = serve.NewAdmin(func() serve.TextStats { return gw.Stats() }, gw.Draining)
+		adminBound, err := admin.Listen(*adminAddr)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wispd: admin on %s\n", adminBound)
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound.String()), 0o644); err != nil {
 			fatal(err)
 		}
 	}
-	fmt.Printf("wispd: listening on %s (%d shards, queue %d, batch %d, RSA-%d, dispatch %s)\n",
-		bound, gw.Config().Shards, gw.Config().QueueDepth, gw.Config().BatchMax, gw.Config().RSABits, gw.Config().Dispatch)
+	fmt.Printf("wispd: listening on %s (%d shards, queue %d, batch %d, RSA-%d)\n",
+		bound, gw.Config().Shards, gw.Config().QueueDepth, gw.Config().BatchMax, gw.Config().RSABits)
 	if qc := gw.Config(); qc.ClientRateUS > 0 {
 		fmt.Printf("wispd: QoS on — %dµs/s per client (burst %dµs), fair-queue above %dµs outstanding (quantum %dµs)\n",
 			qc.ClientRateUS, qc.ClientBurstUS, qc.FairLimitUS, qc.DRRQuantumUS)
@@ -209,34 +197,16 @@ func main() {
 		fmt.Printf("wispd: model-paced at %.0f Hz — each shard serves like one platform instance\n", *paceHz)
 	}
 
-	var wireSrv *wire.Server
-	wireErr := make(chan error, 1)
-	if *listenWire != "" {
-		wireSrv = wire.NewServer(gw, wire.ServerConfig{ReadTimeout: *readTimeout})
-		wireBound, err := wireSrv.Listen(*listenWire)
-		if err != nil {
-			fatal(err)
-		}
-		if *wireAddrFile != "" {
-			if err := os.WriteFile(*wireAddrFile, []byte(wireBound.String()), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("wispd: wire protocol on %s\n", wireBound)
-		go func() { wireErr <- wireSrv.Serve() }()
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
+	serveErr := make(chan error, 2)
 	go func() { serveErr <- srv.Serve() }()
+	if admin != nil {
+		go func() { serveErr <- admin.Serve() }()
+	}
 
 	select {
 	case err := <-serveErr:
-		if err != nil {
-			fatal(err)
-		}
-	case err := <-wireErr:
 		if err != nil {
 			fatal(err)
 		}
@@ -246,13 +216,16 @@ func main() {
 			gov.Stop() // freeze the knobs before the drain starts
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := srv.Shutdown(ctx) // drains the gateway, so wire requests finish too
-		cancel()
-		if wireSrv != nil {
-			if werr := wireSrv.Close(); werr != nil && err == nil {
-				err = werr
+		err := gw.Drain(ctx) // in-flight wire requests answer before the sockets drop
+		if cerr := srv.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		if admin != nil {
+			if aerr := admin.Shutdown(ctx); aerr != nil && err == nil {
+				err = aerr
 			}
 		}
+		cancel()
 		if rep != nil {
 			rep.Close() // flush queued session pushes before exiting
 		}
@@ -269,73 +242,6 @@ func main() {
 		if *metrics {
 			fmt.Print(stats.Text())
 		}
-	}
-}
-
-// buildScorer wires the governor's re-selection path to the macro-model
-// exploration.  The ISS characterization and the first full pricing of
-// the serving space run in the background (tens of seconds of native
-// trace work); until they finish the scorer answers "warming up" and the
-// governor simply keeps ticking the width/gather controls.  Once warm,
-// every re-score is served from the explorer's memoized price cache.
-func buildScorer(seed int64, rsaBits int, logf func(string, ...any)) func(float64, serve.EngineConfig) ([]governor.Candidate, error) {
-	space := explore.ServingSpace()
-	var ex atomic.Pointer[explore.Explorer]
-	go func() {
-		p, err := wisp.New(wisp.Options{Seed: seed})
-		if err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		key, err := rsakey.GenerateKey(rand.New(rand.NewSource(seed)), rsaBits)
-		if err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		e := explore.New(p.BaseModels, key, seed)
-		// Warm the price cache for the whole serving space off the control
-		// loop, so the first real re-score is a pile of map lookups.
-		cur := engineToExplore(serve.EngineConfig{Exp: rsakey.DefaultExpConfig, CRT: rsakey.CRTGarner})
-		if _, err := e.ReScoreMix(explore.MixFingerprint{RSATimeShare: 1}, cur, space); err != nil {
-			logf("explorer unavailable: %v", err)
-			return
-		}
-		ex.Store(e)
-		logf("explorer ready (%d serving candidates priced)", len(space))
-	}()
-	return func(share float64, cur serve.EngineConfig) ([]governor.Candidate, error) {
-		e := ex.Load()
-		if e == nil {
-			return nil, nil // still characterizing
-		}
-		res, err := e.ReScoreMix(explore.MixFingerprint{RSATimeShare: share}, engineToExplore(cur), space)
-		if err != nil {
-			return nil, err
-		}
-		cands := make([]governor.Candidate, len(res))
-		for i, r := range res {
-			cands[i] = governor.Candidate{
-				Name:          r.Config.String(),
-				Engine:        exploreToEngine(r.Config),
-				DecryptCycles: r.EstCycles,
-				MixImprove:    r.MixImprove,
-			}
-		}
-		return cands, nil
-	}
-}
-
-// engineToExplore / exploreToEngine map between the gateway's runtime
-// engine configuration and the explorer's candidate coordinates.  The
-// serving space is radix-32 only, so the mapping is lossless both ways.
-func engineToExplore(ec serve.EngineConfig) explore.Config {
-	return explore.Config{ModMul: ec.Exp.Alg, Window: ec.Exp.WindowBits, CRT: ec.CRT, Radix: 32, Cache: ec.Exp.Cache}
-}
-
-func exploreToEngine(c explore.Config) serve.EngineConfig {
-	return serve.EngineConfig{
-		Exp: mpz.ExpConfig{Alg: c.ModMul, WindowBits: c.Window, Cache: c.Cache},
-		CRT: c.CRT,
 	}
 }
 

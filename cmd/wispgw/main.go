@@ -1,21 +1,21 @@
 // Command wispgw is the cluster routing tier: it fronts N wispd backends
-// (their -listen-wire ports) behind one serving address, giving
-// resumption traffic consistent-hash session affinity, spreading fresh
-// handshakes with power-of-two-choices over per-node backlog-cost EWMAs
-// (fed by the load figure piggybacked on every wire response), ejecting
-// failing backends and retrying around them.
+// (their wire addresses) behind one serving address, giving resumption
+// traffic consistent-hash session affinity, spreading fresh handshakes
+// with power-of-two-choices over per-node backlog-cost EWMAs (fed by the
+// load figure piggybacked on every wire response), ejecting failing
+// backends and retrying around them.
 //
-// It serves both protocols a single wispd serves — the binary wire
-// protocol on -listen-wire and HTTP on -addr — so clients cannot tell a
-// routing tier from one node.
+// It speaks the same wire protocol on -addr a single wispd does, so
+// clients cannot tell a routing tier from one node; -admin-addr opens the
+// same operator HTTP listener (/stats, /healthz, /debug/pprof/).
 //
 // Usage:
 //
 //	wispgw -backends host:p1,host:p2,... [-addr 127.0.0.1:9411]
-//	       [-listen-wire 127.0.0.1:9412] [-replicas 64] [-max-inflight 128]
+//	       [-admin-addr ""] [-replicas 64] [-max-inflight 128]
 //	       [-eject-after 2] [-eject-for 2s] [-node-retries -1] [-seed 1]
 //	       [-coroute-rsa=true] [-coroute-factor 2.0]
-//	       [-metrics] [-addrfile PATH] [-wire-addrfile PATH] [-drain 30s]
+//	       [-metrics] [-addrfile PATH] [-drain 30s]
 //
 // SIGINT/SIGTERM drains: new requests are refused with reason "draining"
 // while in-flight ones finish on their backends, then the process exits.
@@ -38,8 +38,8 @@ import (
 
 func main() {
 	backends := flag.String("backends", "", "comma-separated wispd wire addresses (required)")
-	addr := flag.String("addr", "127.0.0.1:9411", "HTTP listen address (port 0 picks a free port)")
-	listenWire := flag.String("listen-wire", "127.0.0.1:9412", "binary wire-protocol listen address (empty = HTTP only; port 0 picks a free port)")
+	addr := flag.String("addr", "127.0.0.1:9411", "wire protocol listen address (port 0 picks a free port)")
+	adminAddr := flag.String("admin-addr", "", "operator HTTP listen address for /stats, /healthz and /debug/pprof/ (empty = none; port 0 picks a free port)")
 	replicas := flag.Int("replicas", 64, "virtual nodes per backend on the consistent-hash ring")
 	maxInflight := flag.Int64("max-inflight", 128, "max concurrently-routed requests per backend")
 	ejectAfter := flag.Int("eject-after", 2, "consecutive transport failures before a backend is ejected")
@@ -49,8 +49,7 @@ func main() {
 	coRouteRSA := flag.Bool("coroute-rsa", true, "concentrate same-key non-resume rsa-decrypt traffic on one ring-chosen backend (bounded by -coroute-factor)")
 	coRouteFactor := flag.Float64("coroute-factor", 2.0, "co-routing load ceiling: spill to p2c when the preferred backend costs more than factor x the cheapest alternative")
 	metrics := flag.Bool("metrics", false, "print the wispgw_* text metrics dump on shutdown")
-	addrFile := flag.String("addrfile", "", "write the bound HTTP address to this file (for scripts)")
-	wireAddrFile := flag.String("wire-addrfile", "", "write the bound wire address to this file (for scripts)")
+	addrFile := flag.String("addrfile", "", "write the bound wire address to this file (for scripts)")
 	drainTimeout := flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 	flag.Parse()
 
@@ -84,10 +83,19 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := gwroute.NewServer(router)
-	bound, err := httpSrv.Listen(*addr)
+	srv := wire.NewServer(router, wire.ServerConfig{})
+	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fatal(err)
+	}
+	var admin *serve.Admin
+	if *adminAddr != "" {
+		admin = serve.NewAdmin(func() serve.TextStats { return router.Stats() }, router.Draining)
+		adminBound, err := admin.Listen(*adminAddr)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("wispgw: admin on %s\n", adminBound)
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound.String()), 0o644); err != nil {
@@ -95,48 +103,33 @@ func main() {
 		}
 	}
 	fmt.Printf("wispgw: routing over %d backends (%s)\n", len(addrs), strings.Join(addrs, ", "))
-	fmt.Printf("wispgw: HTTP on %s\n", bound)
-
-	var wireSrv *wire.Server
-	wireErr := make(chan error, 1)
-	if *listenWire != "" {
-		wireSrv = wire.NewServer(router, wire.ServerConfig{})
-		wireBound, err := wireSrv.Listen(*listenWire)
-		if err != nil {
-			fatal(err)
-		}
-		if *wireAddrFile != "" {
-			if err := os.WriteFile(*wireAddrFile, []byte(wireBound.String()), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("wispgw: wire protocol on %s\n", wireBound)
-		go func() { wireErr <- wireSrv.Serve() }()
-	}
+	fmt.Printf("wispgw: wire protocol on %s\n", bound)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve() }()
+	serveErr := make(chan error, 2)
+	go func() { serveErr <- srv.Serve() }()
+	if admin != nil {
+		go func() { serveErr <- admin.Serve() }()
+	}
 
 	select {
 	case err := <-serveErr:
 		if err != nil {
 			fatal(err)
 		}
-	case err := <-wireErr:
-		if err != nil {
-			fatal(err)
-		}
 	case s := <-sig:
 		fmt.Printf("wispgw: %v — draining...\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := httpSrv.Shutdown(ctx) // marks the router draining first
-		cancel()
-		if wireSrv != nil {
-			if werr := wireSrv.Close(); werr != nil && err == nil {
-				err = werr
+		// New requests shed with reason "draining"; closing the listener
+		// waits for in-flight ones to come back from their backends.
+		router.Drain()
+		err := srv.Close()
+		if admin != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+			if aerr := admin.Shutdown(ctx); aerr != nil && err == nil {
+				err = aerr
 			}
+			cancel()
 		}
 		stats := router.Stats()
 		if cerr := router.Close(); cerr != nil && err == nil {

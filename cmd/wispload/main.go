@@ -1,12 +1,13 @@
-// Command wispload is the closed-loop load generator for wispd: it
-// replays the paper's Figure 8 transaction-size mix at configurable
-// concurrency, verifies every served payload digest end to end, and
-// reports p50/p95/p99 latency plus achieved throughput against the
-// analytic cost model's prediction for the simulated platform.
+// Command wispload is the closed-loop load generator for wispd and
+// wispgw: it replays the paper's Figure 8 transaction-size mix at
+// configurable concurrency over the binary wire protocol, verifies every
+// served payload digest end to end, and reports p50/p95/p99 latency plus
+// achieved throughput against the analytic cost model's prediction for
+// the simulated platform.
 //
 // Usage:
 //
-//	wispload -addr 127.0.0.1:9311 [-proto http|wire] [-clients 4] [-n 25]
+//	wispload -addr 127.0.0.1:9311 [-clients 4] [-n 25]
 //	         [-mix 1k,4k,16k,32k] [-ops ssl] [-record 1024]
 //	         [-deadline-us 0] [-retries 0] [-backoff-us 2000]
 //	         [-hedge-us 0] [-resume-ratio 0] [-think-us 0] [-seed 1]
@@ -21,17 +22,14 @@
 // record (per-op p50/p99, throughput, cache hit rates) for the CI
 // regression gate (cmd/benchcmp).
 //
-// -proto wire drives the binary wire protocol (internal/wire) instead of
-// HTTP: one multiplexed TCP connection per client against a wispd
-// -listen-wire port or a wispgw routing tier.  Request streams are
-// byte-identical across protocols on the same seed, so wire and HTTP runs
-// verify the same digests.  Adversarial profiles pre-frame HTTP bodies
-// and are HTTP-only.
+// The legit clients share one multiplexed wire connection to -addr, a
+// wispd or a wispgw routing tier; server stats are fetched over the same
+// protocol.
 //
 // -attack mixes adversarial clients into the run alongside the legit
 // closed loops: flood (concurrent full-handshake SSL), thrash
-// (session-cache churn), oversize (max-size and over-limit payloads) and
-// slowloris (dribbled request bodies).  Attackers are ADDITIONAL clients —
+// (session-cache churn), oversize (max-size payloads and headers
+// declaring over-limit ones) and slowloris (dribbled request frames).  Attackers are ADDITIONAL clients —
 // the legit request streams are byte-identical to an attack-free run on
 // the same seed — and the report splits legit vs attack outcomes so the
 // fairness gate can hold legit-only p99 against an attack-free baseline.
@@ -45,13 +43,13 @@ import (
 	"strconv"
 	"strings"
 
+	"wisp/internal/loadgen"
 	"wisp/internal/serve"
 	"wisp/internal/wire"
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:9311", "wispd address")
-	proto := flag.String("proto", "http", "transport protocol: http (POST /v1/offload) or wire (binary TCP)")
+	addr := flag.String("addr", "127.0.0.1:9311", "wispd or wispgw wire address")
 	clients := flag.Int("clients", 4, "concurrent closed-loop clients")
 	perClient := flag.Int("n", 25, "requests per client")
 	mix := flag.String("mix", "1k,4k,16k,32k", "payload size mix (k/m suffixes)")
@@ -75,15 +73,6 @@ func main() {
 	benchLabel := flag.String("bench-label", "", "experiment label stamped on the benchmark record (benchcmp refuses cross-label comparisons)")
 	flag.Parse()
 
-	var dial func(string) (serve.Transport, error)
-	switch *proto {
-	case "http":
-	case "wire":
-		dial = func(a string) (serve.Transport, error) { return wire.Dial(a) }
-	default:
-		fatal(fmt.Errorf("unknown -proto %q (want http or wire)", *proto))
-	}
-
 	if *resumeRatio < 0 || *resumeRatio > 1 {
 		fatal(fmt.Errorf("resume-ratio %g out of range [0,1]", *resumeRatio))
 	}
@@ -96,7 +85,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	profiles, err := serve.ParseAttackProfiles(*attack)
+	profiles, err := loadgen.ParseAttackProfiles(*attack)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,9 +93,8 @@ func main() {
 		fatal(fmt.Errorf("attack-ratio %g out of range [0,1)", *attackRatio))
 	}
 
-	rep, err := serve.RunLoad(serve.LoadConfig{
+	rep, err := loadgen.Run(loadgen.Config{
 		Addr:        *addr,
-		Dial:        dial,
 		Clients:     *clients,
 		PerClient:   *perClient,
 		Mix:         sizes,
@@ -132,18 +120,14 @@ func main() {
 
 	var serverStats *serve.Stats
 	if *stats || *benchOut != "" {
-		if dial != nil {
-			if tr, err := dial(*addr); err == nil {
-				serverStats, _ = tr.Stats()
-				tr.Close()
-			}
-		} else {
-			serverStats, _ = serve.NewClient(*addr).Stats()
+		if tr, err := wire.Dial(*addr); err == nil {
+			serverStats, _ = tr.Stats()
+			tr.Close()
 		}
 	}
 
 	if *benchOut != "" {
-		if err := serve.WriteBenchRecord(*benchOut, *benchLabel, rep, serverStats); err != nil {
+		if err := loadgen.WriteBenchRecord(*benchOut, *benchLabel, rep, serverStats); err != nil {
 			fatal(err)
 		}
 	}
@@ -154,8 +138,8 @@ func main() {
 	}
 	if *jsonOut {
 		doc := struct {
-			Report *serve.LoadReport `json:"report"`
-			Server *serve.Stats      `json:"server_stats,omitempty"`
+			Report *loadgen.Report `json:"report"`
+			Server *serve.Stats    `json:"server_stats,omitempty"`
 		}{rep, shownStats}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -173,8 +157,8 @@ func main() {
 				fmt.Printf("server qos: %d throttled, %d clients tracked, fair-waiting %d\n",
 					q.Throttled, len(q.Clients), q.FairWaiting)
 			}
-			fmt.Printf("server dispatch (%s): %d steals, %d redirects, %d retries, %d hedged, %d sheds-while-idle\n",
-				shownStats.Dispatch, shownStats.Steals, shownStats.Redirects,
+			fmt.Printf("server dispatch: %d steals, %d redirects, %d retries, %d hedged, %d sheds-while-idle\n",
+				shownStats.Steals, shownStats.Redirects,
 				shownStats.Retries, shownStats.Hedges, shownStats.ShedWhileIdle)
 			if ssl, ok := shownStats.PerOp["ssl"]; ok && ssl.Latency.Count > 0 {
 				fmt.Printf("server ssl latency: p50 %.0fµs  p95 %.0fµs  p99 %.0fµs (batch p50 %.1f)\n",

@@ -3,8 +3,6 @@ package governor
 import (
 	"testing"
 
-	"wisp/internal/mpz"
-	"wisp/internal/rsakey"
 	"wisp/internal/serve"
 )
 
@@ -12,41 +10,19 @@ import (
 type fakeTuner struct {
 	width  int
 	gather int64
-	eng    serve.EngineConfig
-	engLog []serve.EngineConfig
 }
 
 func (f *fakeTuner) BatchWidth() int           { return f.width }
 func (f *fakeTuner) SetBatchWidth(w int)       { f.width = w }
 func (f *fakeTuner) BatchGatherUS() int64      { return f.gather }
 func (f *fakeTuner) SetBatchGatherUS(us int64) { f.gather = us }
-func (f *fakeTuner) EngineConfig() serve.EngineConfig {
-	return f.eng
-}
-func (f *fakeTuner) SetEngineConfig(ec serve.EngineConfig) error {
-	f.eng = ec
-	f.engLog = append(f.engLog, ec)
-	return nil
-}
-
-var (
-	cfgA = serve.EngineConfig{Exp: rsakey.DefaultExpConfig, CRT: rsakey.CRTGarner}
-	cfgB = serve.EngineConfig{
-		Exp: mpz.ExpConfig{Alg: mpz.ModMulBarrett, WindowBits: 2, Cache: mpz.CacheNone},
-		CRT: rsakey.CRTGauss,
-	}
-)
 
 // snap builds one scripted /stats snapshot.  Counters are cumulative, as
 // a live gateway would report them.
-func snap(uptime float64, depth int64, rsaOK, recOK uint64, rsaCost float64) serve.Stats {
+func snap(uptime float64, depth int64, rsaOK, recOK uint64) serve.Stats {
 	return serve.Stats{
 		UptimeSeconds: uptime,
 		QueueDepth:    []int64{depth},
-		OpCostUS: map[string]float64{
-			string(serve.OpRSADecrypt): rsaCost,
-			string(serve.OpRecord):     50,
-		},
 		PerOp: map[string]serve.OpStats{
 			string(serve.OpRSADecrypt): {Requests: rsaOK, OK: rsaOK},
 			string(serve.OpRecord):     {Requests: recOK, OK: recOK},
@@ -73,9 +49,9 @@ func feed(snaps []serve.Stats) func() serve.Stats {
 func TestWidthWidensMonotone(t *testing.T) {
 	var snaps []serve.Stats
 	for k := 1; k <= 12; k++ {
-		snaps = append(snaps, snap(0.5*float64(k), 5, uint64(100*k), 0, 100))
+		snaps = append(snaps, snap(0.5*float64(k), 5, uint64(100*k), 0))
 	}
-	tun := &fakeTuner{width: 1, eng: cfgA}
+	tun := &fakeTuner{width: 1}
 	g := New(Config{HoldTicks: 2, MaxWidth: 8, Snapshot: feed(snaps), Tuner: tun})
 
 	wantAfter := []int{1, 2, 2, 4, 4, 8, 8, 8, 8, 8, 8, 8}
@@ -89,9 +65,6 @@ func TestWidthWidensMonotone(t *testing.T) {
 	if v.Ticks != 12 || v.WidthWidens != 3 || v.WidthShrinks != 0 {
 		t.Fatalf("view %+v, want 12 ticks, 3 widens, 0 shrinks", v)
 	}
-	if v.RSATimeShare != 1 {
-		t.Fatalf("rsa time share %.2f, want 1 (all-decrypt mix)", v.RSATimeShare)
-	}
 }
 
 // TestWidthShrinksOnIdle drives a drained queue: width must halve back
@@ -101,9 +74,9 @@ func TestWidthWidensMonotone(t *testing.T) {
 func TestWidthShrinksOnIdle(t *testing.T) {
 	var snaps []serve.Stats
 	for k := 1; k <= 16; k++ {
-		snaps = append(snaps, snap(0.5*float64(k), 0, 100, 0, 100))
+		snaps = append(snaps, snap(0.5*float64(k), 0, 100, 0))
 	}
-	tun := &fakeTuner{width: 8, eng: cfgA}
+	tun := &fakeTuner{width: 8}
 	g := New(Config{HoldTicks: 2, MaxWidth: 8, Snapshot: feed(snaps), Tuner: tun})
 	for k := 0; k < 16; k++ {
 		g.Tick()
@@ -127,9 +100,9 @@ func TestWidthHysteresisNoFlap(t *testing.T) {
 		if k%2 == 0 {
 			depth = 2 // dead zone between the bands
 		}
-		snaps = append(snaps, snap(0.5*float64(k), depth, uint64(100*k), 0, 100))
+		snaps = append(snaps, snap(0.5*float64(k), depth, uint64(100*k), 0))
 	}
-	tun := &fakeTuner{width: 4, eng: cfgA}
+	tun := &fakeTuner{width: 4}
 	g := New(Config{HoldTicks: 2, MaxWidth: 8, Snapshot: feed(snaps), Tuner: tun})
 	for k := 0; k < 20; k++ {
 		g.Tick()
@@ -148,17 +121,17 @@ func TestWidthHysteresisNoFlap(t *testing.T) {
 // engage after HoldTicks, ignore small rate wobble, retune on a big
 // shift, cap at MaxGatherUS.
 func TestGatherRetarget(t *testing.T) {
-	mk := func(uptime float64, rsaOK uint64) serve.Stats { return snap(uptime, 2, rsaOK, 0, 100) }
+	mk := func(uptime float64, rsaOK uint64) serve.Stats { return snap(uptime, 2, rsaOK, 0) }
 	snaps := []serve.Stats{
-		mk(0.5, 1000),              // 2000/s -> want 1500us, streak 1
-		mk(1.0, 2000),              // streak 2 -> set 1500
-		mk(1.5, 3200),              // 2400/s -> 1250us, 17% move: hold
-		mk(2.0, 3450),              // 500/s -> cap 3000us, 100% move: set
-		mk(2.5, 3700),              // unchanged -> hold
-		snap(3.0, 5, 3950, 0, 100), // dense window: want 0, streak 1
-		snap(3.5, 5, 4200, 0, 100), // streak 2 -> set 0
+		mk(0.5, 1000),         // 2000/s -> want 1500us, streak 1
+		mk(1.0, 2000),         // streak 2 -> set 1500
+		mk(1.5, 3200),         // 2400/s -> 1250us, 17% move: hold
+		mk(2.0, 3450),         // 500/s -> cap 3000us, 100% move: set
+		mk(2.5, 3700),         // unchanged -> hold
+		snap(3.0, 5, 3950, 0), // dense window: want 0, streak 1
+		snap(3.5, 5, 4200, 0), // streak 2 -> set 0
 	}
-	tun := &fakeTuner{width: 4, eng: cfgA}
+	tun := &fakeTuner{width: 4}
 	g := New(Config{HoldTicks: 2, MaxWidth: 4, Snapshot: feed(snaps), Tuner: tun})
 
 	wantAfter := []int64{0, 1500, 1500, 3000, 3000, 3000, 0}
@@ -170,122 +143,5 @@ func TestGatherRetarget(t *testing.T) {
 	}
 	if v := g.View(); v.GatherChanges != 3 {
 		t.Fatalf("gather changes %d, want 3", v.GatherChanges)
-	}
-}
-
-// abScorer always offers cfgB with the given predicted improvement.
-func abScorer(improve float64, calls *int) func(float64, serve.EngineConfig) ([]Candidate, error) {
-	return func(share float64, cur serve.EngineConfig) ([]Candidate, error) {
-		*calls++
-		return []Candidate{
-			{Name: "cur", Engine: cur, DecryptCycles: 1000, MixImprove: 0},
-			{Name: "cand-b", Engine: cfgB, DecryptCycles: 800, MixImprove: improve},
-		}, nil
-	}
-}
-
-// TestConfigRollback switches on a predicted 20% improvement that never
-// materialises: after the A/B window the measured decrypt cost is
-// unchanged, so the governor must restore the previous engine and put
-// the candidate on cooldown (no immediate re-switch).
-func TestConfigRollback(t *testing.T) {
-	var snaps []serve.Stats
-	for k := 1; k <= 6; k++ {
-		// All-decrypt mix (share 1), decrypt cost pinned at 100us forever.
-		snaps = append(snaps, snap(0.5*float64(k), 2, uint64(100*k), 0, 100))
-	}
-	var calls int
-	tun := &fakeTuner{width: 1, eng: cfgA}
-	g := New(Config{
-		ABTicks:  2,
-		Snapshot: feed(snaps),
-		Tuner:    tun,
-		Scorer:   abScorer(0.20, &calls),
-	})
-
-	g.Tick() // switch: predicted ratio 0.8, preCost 100
-	if tun.eng != cfgB {
-		t.Fatalf("engine %v after switch tick, want %v", tun.eng, cfgB)
-	}
-	g.Tick() // A/B tick 1 of 2
-	if calls != 1 {
-		t.Fatalf("scorer consulted during A/B window (%d calls)", calls)
-	}
-	g.Tick() // A/B closes: 100 > 100*(0.8+0.1) -> rollback
-	if tun.eng != cfgA {
-		t.Fatalf("engine %v after failed A/B, want rollback to %v", tun.eng, cfgA)
-	}
-	g.Tick() // candidate on cooldown: no re-switch
-	g.Tick()
-	if tun.eng != cfgA {
-		t.Fatal("cooled-down candidate re-selected immediately after rollback")
-	}
-	v := g.View()
-	if v.ConfigSwitches != 1 || v.ConfigRollbacks != 1 || v.ConfigConfirms != 0 {
-		t.Fatalf("view %+v, want 1 switch, 1 rollback, 0 confirms", v)
-	}
-	wantLog := []serve.EngineConfig{cfgB, cfgA}
-	if len(tun.engLog) != 2 || tun.engLog[0] != wantLog[0] || tun.engLog[1] != wantLog[1] {
-		t.Fatalf("engine set sequence %v, want %v", tun.engLog, wantLog)
-	}
-}
-
-// TestConfigConfirm is the happy path: the measured cost after the switch
-// lands inside the predicted envelope, so the switch sticks.
-func TestConfigConfirm(t *testing.T) {
-	snaps := []serve.Stats{
-		snap(0.5, 2, 100, 0, 100),
-		snap(1.0, 2, 200, 0, 90),
-		snap(1.5, 2, 300, 0, 78), // 78 <= 100*(0.8+0.1): inside the envelope
-		snap(2.0, 2, 400, 0, 78),
-	}
-	var calls int
-	tun := &fakeTuner{width: 1, eng: cfgA}
-	g := New(Config{
-		ABTicks:  2,
-		Snapshot: feed(snaps),
-		Tuner:    tun,
-		Scorer:   abScorer(0.20, &calls),
-	})
-	for k := 0; k < 4; k++ {
-		g.Tick()
-	}
-	if tun.eng != cfgB {
-		t.Fatalf("engine %v, want confirmed switch to %v", tun.eng, cfgB)
-	}
-	v := g.View()
-	if v.ConfigSwitches != 1 || v.ConfigConfirms != 1 || v.ConfigRollbacks != 0 {
-		t.Fatalf("view %+v, want 1 switch, 1 confirm, 0 rollbacks", v)
-	}
-}
-
-// TestConfigGates checks the two no-switch paths: a warming-up scorer
-// (nil candidates) and a best candidate below the improvement floor.
-func TestConfigGates(t *testing.T) {
-	var snaps []serve.Stats
-	for k := 1; k <= 4; k++ {
-		snaps = append(snaps, snap(0.5*float64(k), 2, uint64(100*k), 0, 100))
-	}
-	tun := &fakeTuner{width: 1, eng: cfgA}
-	warming := true
-	g := New(Config{
-		Snapshot: feed(snaps),
-		Tuner:    tun,
-		Scorer: func(share float64, cur serve.EngineConfig) ([]Candidate, error) {
-			if warming {
-				return nil, nil
-			}
-			return []Candidate{{Name: "cand-b", Engine: cfgB, MixImprove: 0.03}}, nil
-		},
-	})
-	g.Tick() // warming up
-	warming = false
-	g.Tick() // 3% < MinImprove 5%
-	g.Tick()
-	if len(tun.engLog) != 0 {
-		t.Fatalf("engine switched through a gate: %v", tun.engLog)
-	}
-	if v := g.View(); v.ConfigSwitches != 0 {
-		t.Fatalf("switch counter %d, want 0", v.ConfigSwitches)
 	}
 }

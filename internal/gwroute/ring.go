@@ -5,10 +5,9 @@
 // spreads fresh handshakes by backlog cost, and per-node health tracking
 // ejects failing backends and reroutes around them.
 //
-// The router implements both serving surfaces the single-node gateway
-// has — wire.Handler for the binary protocol and an HTTP front end — so
-// a load generator pointed at wispgw speaks exactly the protocol it
-// would speak to one wispd.
+// The router implements wire.Handler, the serving surface the single-node
+// gateway has, so a load generator pointed at wispgw speaks exactly the
+// protocol it would speak to one wispd.
 package gwroute
 
 import (

@@ -1,9 +1,11 @@
-package serve
+package loadgen
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -11,6 +13,8 @@ import (
 	"time"
 
 	"wisp/internal/hashes"
+	"wisp/internal/serve"
+	"wisp/internal/wire"
 )
 
 // AttackProfile names one adversarial client behavior the load generator
@@ -30,13 +34,13 @@ const (
 	// inserts a fresh session into the shared LRU session cache, evicting
 	// legit clients' resumable sessions.
 	AttackThrash AttackProfile = "thrash"
-	// AttackOversize alternates maximum-size legal payloads with
-	// over-limit payloads that the hardened decode must reject before
-	// allocating.
+	// AttackOversize alternates maximum-size legal payloads with frames
+	// whose header declares an over-limit payload, which the wire
+	// listener must refuse before reading a byte of it.
 	AttackOversize AttackProfile = "oversize"
-	// AttackSlowloris opens raw connections and dribbles the request body
-	// byte-by-byte, holding connections open; the server's read timeout is
-	// the defense.
+	// AttackSlowloris opens raw connections and dribbles one request
+	// frame in small timed chunks, holding connections open; the
+	// listener's read timeout is the defense.
 	AttackSlowloris AttackProfile = "slowloris"
 )
 
@@ -71,7 +75,7 @@ func ParseAttackProfiles(s string) ([]AttackProfile, error) {
 // that attackers make up ~AttackRatio of all clients (attackers are
 // additional to the legit Clients), and at least one per requested
 // profile so an "all four profiles" run exercises all four.
-func (c LoadConfig) attackerCount() int {
+func (c Config) attackerCount() int {
 	if len(c.Attack) == 0 || c.AttackRatio <= 0 {
 		return 0
 	}
@@ -90,40 +94,53 @@ func (c LoadConfig) attackerCount() int {
 // land in "<op>+attack" op classes so the plain op rows of a mixed run
 // stay legit-only — that is what lets the fairness gate compare legit p99
 // across attack-free and mixed runs.
-func runAttacker(c LoadConfig, profile AttackProfile, idx int, client *Client, r *clientResult, done <-chan struct{}) {
+func runAttacker(c Config, profile AttackProfile, idx int, r *clientResult, done <-chan struct{}) {
 	r.attack = true
 	r.perSize = make(map[int][]int64)
-	r.perOp = make(map[Op][]int64)
+	r.perOp = make(map[serve.Op][]int64)
 	id := fmt.Sprintf("%s-%d", profile, idx)
 	rng := rand.New(rand.NewSource(c.Seed*31 + 1009 + int64(idx)))
 
+	// Each attacker is one remote host: one connection, its streams
+	// multiplexed over it.  The raw-socket profiles dial per shot.
+	var client *client
+	if profile != AttackSlowloris {
+		tr, err := c.dial()
+		if err != nil {
+			r.errs++
+			return
+		}
+		defer tr.Close()
+		client = newClient(tr)
+	}
+
 	// Each profile precomputes its ammunition once — payload, expected
-	// digest, and for the oversize bodies the full JSON frame.  A real
-	// attacker does not regenerate a megabyte of random bytes per shot,
-	// and neither should the harness: on a shared host, per-request
-	// payload generation charges the attacker's CPU bill to the very
-	// latency measurement the fairness gate is taking.
+	// digest, and for the over-limit shot the raw frame.  A real attacker
+	// does not regenerate a megabyte of random bytes per shot, and
+	// neither should the harness: on a shared host, per-request payload
+	// generation charges the attacker's CPU bill to the very latency
+	// measurement the fairness gate is taking.
 	switch profile {
 	case AttackFlood:
 		payload, want := attackPayload(rng, 4096)
-		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, OpSSL, payload, want) })
+		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, serve.OpSSL, payload, want) })
 	case AttackThrash:
 		// Cheap per op — the damage (and the token-bucket spend) is the
 		// sheer churn rate: every full handshake evicts someone's session.
 		payload, want := attackPayload(rng, 64)
-		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, OpHandshake, payload, want) })
+		attackLoop(c, done, c.AttackRTTUS, func(k int) { attackRequest(r, client, id, serve.OpHandshake, payload, want) })
 	case AttackOversize:
 		// Maximum-size legal payload: priced at full per-byte cost by
-		// envelope admission.  Over the limit: rejected from the encoded
-		// token length before any payload buffer is allocated.  Paced 5x —
+		// envelope admission.  Over the limit: the header alone is
+		// refused, before the listener reads any payload.  Paced 5x —
 		// megabyte uploads are bandwidth-bound, not latency-bound.
-		legal, legalWant := oversizeBody(rng, id, OpAES, 256<<10)
-		over, _ := oversizeBody(rng, id, OpMD5, MaxPayload+1)
+		legal, legalWant := attackPayload(rng, 256<<10)
+		over := overLimitFrame(id)
 		attackLoop(c, done, 5*c.AttackRTTUS, func(k int) {
 			if k%2 == 0 {
-				rawAttackRequest(r, client, OpAES, 256<<10, legal, legalWant)
+				attackRequest(r, client, id, serve.OpAES, legal, legalWant)
 			} else {
-				rawAttackRequest(r, client, OpMD5, MaxPayload+1, over, nil)
+				overLimitRequest(c, r, over)
 			}
 		})
 	case AttackSlowloris:
@@ -139,15 +156,23 @@ func attackPayload(rng *rand.Rand, size int) ([]byte, []byte) {
 	return payload, want[:]
 }
 
-// oversizeBody pre-marshals one oversize request frame.  want is nil for
-// bodies the server is expected to reject.
-func oversizeBody(rng *rand.Rand, id string, op Op, size int) ([]byte, []byte) {
-	payload, want := attackPayload(rng, size)
-	body, err := json.Marshal(&Request{Op: op, Payload: payload, ClientID: id})
+// preamble opens every wire connection.
+var preamble = []byte{wire.Magic0, wire.Magic1, wire.Magic2, wire.Version}
+
+// overLimitFrame builds one request header declaring a payload one byte
+// over wire.MaxPayload.  The encoder refuses such a frame, so it encodes
+// a legal empty-payload md5 request and rewrites the header's trailing
+// payload-length field.
+func overLimitFrame(id string) []byte {
+	var enc wire.Encoder
+	frame, err := enc.Request(nil, 1, &serve.Request{Op: serve.OpMD5, ClientID: id})
 	if err != nil {
-		panic(err) // marshalling []byte cannot fail
+		panic(err) // a short legal request always encodes
 	}
-	return body, want
+	hdrLen, n := binary.Uvarint(frame)
+	hdr := frame[n : n+int(hdrLen)-1] // drop uvarint(0), the payload length
+	hdr = binary.AppendUvarint(hdr, wire.MaxPayload+1)
+	return append(binary.AppendUvarint(nil, uint64(len(hdr))), hdr...)
 }
 
 // attackLoop fans an attacker's request stream across AttackConcurrency
@@ -156,7 +181,7 @@ func oversizeBody(rng *rand.Rand, id string, op Op, size int) ([]byte, []byte) {
 // botnet-style concurrent streams, not polite closed loops — concurrency
 // under one ClientID is what pushes a single identity past its
 // token-bucket rate.
-func attackLoop(c LoadConfig, done <-chan struct{}, paceUS int64, issue func(k int)) {
+func attackLoop(c Config, done <-chan struct{}, paceUS int64, issue func(k int)) {
 	var wg sync.WaitGroup
 	for s := 0; s < c.AttackConcurrency; s++ {
 		wg.Add(1)
@@ -185,128 +210,120 @@ func attackLoop(c LoadConfig, done <-chan struct{}, paceUS int64, issue func(k i
 // attackRequest issues one adversarial request with a shared precomputed
 // payload and records the outcome.  The shared result is locked: one
 // attacker runs several concurrent streams into the same clientResult.
-func attackRequest(r *clientResult, client *Client, id string, op Op, payload, want []byte) {
-	req := &Request{Op: op, Payload: payload, ClientID: id}
+func attackRequest(r *clientResult, client *client, id string, op serve.Op, payload, want []byte) {
+	req := &serve.Request{Op: op, Payload: payload, ClientID: id}
 	t0 := time.Now()
-	resp, err := client.Do(req)
+	resp, err := client.do(req)
 	lat := time.Since(t0).Microseconds()
 	recordAttackOutcome(r, op, len(payload), want, resp, err, lat)
 }
 
-// rawAttackRequest fires one pre-marshalled frame and records the outcome.
-func rawAttackRequest(r *clientResult, client *Client, op Op, size int, body, want []byte) {
-	t0 := time.Now()
-	resp, err := client.postBytes(body)
-	lat := time.Since(t0).Microseconds()
-	recordAttackOutcome(r, op, size, want, resp, err, lat)
-}
-
 // recordAttackOutcome folds one attack response into the shared result.
-// want nil skips the digest check (the request was built to be rejected).
-func recordAttackOutcome(r *clientResult, op Op, size int, want []byte, resp *Response, err error, lat int64) {
+func recordAttackOutcome(r *clientResult, op serve.Op, size int, want []byte, resp *serve.Response, err error, lat int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
-		// Transport failures (connection reset mid-oversized-upload, read
-		// timeout) are expected casualties of attacking a defended server.
+		// Transport failures (a connection cut by the read timeout or by
+		// a refused frame) are expected casualties of attacking a
+		// defended server.
 		r.errs++
 		return
 	}
 	switch resp.Status {
-	case StatusOK:
+	case serve.StatusOK:
 		r.ok++
 		r.bytes += int64(size)
 		r.latencies = append(r.latencies, lat)
 		r.perOp[op+"+attack"] = append(r.perOp[op+"+attack"], lat)
-		if want != nil && !bytes.Equal(resp.Digest, want) {
+		if !bytes.Equal(resp.Digest, want) {
 			r.mismatches++
 		}
 		r.baseCycles += resp.EstBaseCycles
 		r.optCycles += resp.EstOptCycles
-	case StatusShed:
+	case serve.StatusShed:
 		r.shed++
 		if resp.ShedReason == "throttle" {
 			r.throttled++
 		}
-	case StatusExpired:
+	case serve.StatusExpired:
 		r.expired++
 	default:
 		r.errs++
 	}
 }
 
-// slowlorisRequest hand-writes one HTTP request over a raw connection,
-// dribbling the body in small timed chunks.  A server with a read timeout
-// disconnects the dribble (counted as an error here); without one the
-// request eventually completes and its latency lands in the attack class.
-func slowlorisRequest(c LoadConfig, r *clientResult, rng *rand.Rand, id string) {
-	addr := c.Addr
-	if i := strings.Index(addr, "://"); i >= 0 {
-		addr = addr[i+3:]
-	}
-	addr = strings.TrimRight(addr, "/")
+// overLimitRequest sends one over-limit header on a fresh connection.
+// The listener hanging up is the expected refusal, counted as an error
+// like any request the server will not serve.
+func overLimitRequest(c Config, r *clientResult, frame []byte) {
+	_, _ = rawRequest(c, frame, 1, 0) // the outcome is the hang-up either way
+	r.mu.Lock()
+	r.errs++
+	r.mu.Unlock()
+}
 
+// slowlorisRequest dribbles one md5 request frame over a fresh connection
+// in small timed chunks.  A listener with a read timeout disconnects the
+// dribble (counted as an error here); without one the request eventually
+// completes and its latency lands in the attack class.
+func slowlorisRequest(c Config, r *clientResult, rng *rand.Rand, id string) {
 	r.mu.Lock()
 	payload := make([]byte, 32)
 	rng.Read(payload)
 	r.mu.Unlock()
-	body, err := json.Marshal(&Request{Op: OpMD5, Payload: payload, ClientID: id})
+	var enc wire.Encoder
+	frame, err := enc.Request(nil, 1, &serve.Request{Op: serve.OpMD5, Payload: payload, ClientID: id})
 	if err != nil {
-		r.mu.Lock()
-		r.errs++
-		r.mu.Unlock()
-		return
-	}
-
-	fail := func() {
-		r.mu.Lock()
-		r.errs++
-		r.mu.Unlock()
+		panic(err) // a short legal request always encodes
 	}
 	t0 := time.Now()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		fail()
-		return
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	header := fmt.Sprintf("POST /v1/offload HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n", addr, len(body))
-	if _, err := conn.Write([]byte(header)); err != nil {
-		fail()
-		return
-	}
-	// Dribble the body: ~20 chunks paced across SlowlorisMS total.
-	pace := time.Duration(c.SlowlorisMS) * time.Millisecond / 20
-	step := (len(body) + 19) / 20
-	for off := 0; off < len(body); off += step {
-		end := off + step
-		if end > len(body) {
-			end = len(body)
-		}
-		if _, err := conn.Write(body[off:end]); err != nil {
-			fail()
-			return
-		}
-		time.Sleep(pace)
-	}
-	buf := make([]byte, 4096)
-	var resp []byte
-	for {
-		n, err := conn.Read(buf)
-		resp = append(resp, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
+	// ~20 chunks paced across SlowlorisMS total.
+	resp, err := rawRequest(c, frame, 20, time.Duration(c.SlowlorisMS)*time.Millisecond/20)
 	lat := time.Since(t0).Microseconds()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !bytes.Contains(resp, []byte(" 200 ")) {
+	if err != nil || resp.Status != serve.StatusOK {
 		r.errs++
 		return
 	}
 	r.ok++
 	r.latencies = append(r.latencies, lat)
-	r.perOp[OpMD5+"+attack"] = append(r.perOp[OpMD5+"+attack"], lat)
+	r.perOp[serve.OpMD5+"+attack"] = append(r.perOp[serve.OpMD5+"+attack"], lat)
+}
+
+// rawRequest dials a fresh connection, writes the preamble and then frame
+// in chunks pieces spaced pace apart, and parses the header of the one
+// response frame it waits for.  The listener hanging up instead is an
+// error.
+func rawRequest(c Config, frame []byte, chunks int, pace time.Duration) (*serve.Response, error) {
+	conn, err := net.DialTimeout("tcp", c.Addr, 5*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if _, err := conn.Write(preamble); err != nil {
+		return nil, err
+	}
+	step := (len(frame) + chunks - 1) / chunks
+	for off := 0; off < len(frame); off += step {
+		if _, err := conn.Write(frame[off:min(off+step, len(frame))]); err != nil {
+			return nil, err
+		}
+		time.Sleep(pace)
+	}
+	br := bufio.NewReader(conn)
+	hdrLen, err := binary.ReadUvarint(br)
+	if err != nil || hdrLen == 0 || hdrLen > wire.MaxHeader {
+		return nil, fmt.Errorf("loadgen: no response frame (%v)", err)
+	}
+	hdr := make([]byte, hdrLen)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, err
+	}
+	var resp serve.Response
+	if _, _, _, err := wire.ParseResponse(hdr, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }

@@ -1,9 +1,11 @@
-package serve
+package loadgen
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"wisp/internal/serve"
 )
 
 // BenchSchema versions the benchmark record format.  Schema 2 added the
@@ -65,7 +67,7 @@ type BenchRecord struct {
 
 // NewBenchRecord distills a load report (and optional server stats) into
 // the benchmark record the regression gate consumes.
-func NewBenchRecord(rep *LoadReport, stats *Stats) *BenchRecord {
+func NewBenchRecord(rep *Report, stats *serve.Stats) *BenchRecord {
 	r := &BenchRecord{
 		Schema:          BenchSchema,
 		Transactions:    rep.Transactions,
@@ -103,7 +105,7 @@ func NewBenchRecord(rep *LoadReport, stats *Stats) *BenchRecord {
 
 // WriteBenchRecord writes the benchmark record as indented JSON, stamped
 // with the experiment label (may be empty for legacy compatibility).
-func WriteBenchRecord(path, label string, rep *LoadReport, stats *Stats) error {
+func WriteBenchRecord(path, label string, rep *Report, stats *serve.Stats) error {
 	rec := NewBenchRecord(rep, stats)
 	rec.Label = label
 	data, err := json.MarshalIndent(rec, "", "  ")

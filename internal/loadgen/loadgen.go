@@ -1,4 +1,9 @@
-package serve
+// Package loadgen is the closed-loop load generator for wispd and
+// wispgw: seeded legit client streams with digest verification, optional
+// adversarial clients, client-side retry and hedging, and the benchmark
+// record the CI regression gate consumes.  It speaks the binary wire
+// protocol (internal/wire) only.
+package loadgen
 
 import (
 	"bytes"
@@ -11,33 +16,28 @@ import (
 	"time"
 
 	"wisp/internal/hashes"
+	"wisp/internal/serve"
+	"wisp/internal/wire"
 )
 
 // Figure8Mix is the transaction-size mix the load generator replays by
 // default: the paper's Figure 8 sweep points at 1, 4, 16 and 32 KB.
 var Figure8Mix = []int{1 << 10, 4 << 10, 16 << 10, 32 << 10}
 
-// LoadConfig drives the closed-loop load generator: Clients goroutines
+// Config drives the closed-loop load generator: Clients goroutines
 // each issue PerClient requests back to back, drawing the payload size
 // and op independently per request from seeded per-client RNG streams
 // (so every op is exercised at every size, deterministically per seed).
-type LoadConfig struct {
-	Addr string
-	// Dial, when set, builds the transport the load clients speak instead
-	// of HTTP+JSON — wispload -proto wire installs the binary-protocol
-	// dialer here.  The request streams are byte-identical either way (the
-	// transport sits below the scheduling RNGs), so protocol A/B runs on
-	// the same seed replay the same workload.  Attack profiles pre-frame
-	// HTTP bodies and are rejected in combination with Dial.
-	Dial       func(addr string) (Transport, error)
-	Clients    int     // concurrent closed-loop clients; default 4
-	PerClient  int     // requests per client; default 25
-	Mix        []int   // payload sizes; default Figure8Mix
-	Ops        []Op    // op mix; default {OpSSL}
-	RecordSize int     // record chunking for OpSSL; 0 = gateway default
-	DeadlineUS int64   // per-request latency budget; 0 = none
-	Seed       int64   // payload and mix determinism; default 1
-	ClockHz    float64 // simulated platform clock; default PlatformClockHz
+type Config struct {
+	Addr       string     // wire address of a wispd or wispgw
+	Clients    int        // concurrent closed-loop clients; default 4
+	PerClient  int        // requests per client; default 25
+	Mix        []int      // payload sizes; default Figure8Mix
+	Ops        []serve.Op // op mix; default {OpSSL}
+	RecordSize int        // record chunking for OpSSL; 0 = gateway default
+	DeadlineUS int64      // per-request latency budget; 0 = none
+	Seed       int64      // payload and mix determinism; default 1
+	ClockHz    float64    // simulated platform clock; default serve.PlatformClockHz
 
 	// ResumeRatio is the fraction of OpSSL/OpHandshake requests that ask
 	// the gateway to resume a cached session (abbreviated handshake, no
@@ -85,7 +85,7 @@ type LoadConfig struct {
 	// stay closed-loop.
 	AttackConcurrency int
 	// SlowlorisMS is how long a slowloris attacker stretches one request
-	// body; default 1500.
+	// frame; default 1500.
 	SlowlorisMS int
 	// AttackRTTUS models the attacker's network distance: each attack
 	// stream pauses this many µs per request (oversize streams 5x — a
@@ -97,7 +97,7 @@ type LoadConfig struct {
 	AttackRTTUS int64
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+func (c Config) withDefaults() Config {
 	if c.Clients <= 0 {
 		c.Clients = 4
 	}
@@ -108,13 +108,13 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.Mix = Figure8Mix
 	}
 	if len(c.Ops) == 0 {
-		c.Ops = []Op{OpSSL}
+		c.Ops = []serve.Op{serve.OpSSL}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.ClockHz == 0 {
-		c.ClockHz = PlatformClockHz
+		c.ClockHz = serve.PlatformClockHz
 	}
 	if c.BackoffUS <= 0 {
 		c.BackoffUS = 2000
@@ -140,7 +140,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // offer session resumption.
 type workItem struct {
 	size   int
-	op     Op
+	op     serve.Op
 	resume bool
 }
 
@@ -149,7 +149,7 @@ type workItem struct {
 // the old `(i+k) % len` striding indexed Mix and Ops in lockstep, so
 // whenever the two lengths shared a factor each op was only ever
 // exercised at a subset of sizes.
-func (c LoadConfig) schedule(client int) []workItem {
+func (c Config) schedule(client int) []workItem {
 	// A dedicated stream (distinct from the payload RNG, offset per
 	// client) keeps runs seed-deterministic.
 	rng := rand.New(rand.NewSource(c.Seed*0x9e3779b9 + int64(client) + 0x517cc1b7))
@@ -159,7 +159,7 @@ func (c LoadConfig) schedule(client int) []workItem {
 			size: c.Mix[rng.Intn(len(c.Mix))],
 			op:   c.Ops[rng.Intn(len(c.Ops))],
 		}
-		if (it.op == OpSSL || it.op == OpHandshake) && c.ResumeRatio > 0 {
+		if (it.op == serve.OpSSL || it.op == serve.OpHandshake) && c.ResumeRatio > 0 {
 			it.resume = rng.Float64() < c.ResumeRatio
 		}
 		items[k] = it
@@ -239,8 +239,8 @@ type ClassReport struct {
 	Latency     LatencySummary `json:"latency_us"`
 }
 
-// LoadReport is the result of one closed-loop run.
-type LoadReport struct {
+// Report is the result of one closed-loop run.
+type Report struct {
 	Clients      int     `json:"clients"`
 	Transactions int     `json:"transactions"`
 	OK           int     `json:"ok"`
@@ -256,7 +256,7 @@ type LoadReport struct {
 	Bytes        int64   `json:"bytes"`
 	Seconds      float64 `json:"seconds"`
 
-	// Early/late window split (populated when LoadConfig.SplitUS > 0):
+	// Early/late window split (populated when Config.SplitUS > 0):
 	// outcomes bucketed by whether the request was issued before or after
 	// the split point.  Flat fields so shell gates can grep them.
 	EarlyOK          int `json:"early_ok"`
@@ -305,17 +305,13 @@ type LoadReport struct {
 	GCPauseP99US float64 `json:"gc_pause_p99_us,omitempty"`
 }
 
-// newClient builds one load client over the configured transport (HTTP by
-// default, Dial otherwise) plus a cleanup closing whatever was dialed.
-func (c LoadConfig) newClient() (*Client, func(), error) {
-	if c.Dial == nil {
-		return NewClient(c.Addr), func() {}, nil
-	}
-	tr, err := c.Dial(c.Addr)
+// dial opens one wire transport to the target.
+func (c Config) dial() (*wire.Transport, error) {
+	tr, err := wire.Dial(c.Addr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: dialing %s: %w", c.Addr, err)
+		return nil, fmt.Errorf("loadgen: dialing %s: %w", c.Addr, err)
 	}
-	return NewClientWith(tr), func() { tr.Close() }, nil
+	return tr, nil
 }
 
 // clientResult accumulates one load client's outcomes.  Legit clients are
@@ -331,27 +327,25 @@ type clientResult struct {
 	bytes                                          int64
 	latencies                                      []int64
 	perSize                                        map[int][]int64
-	perOp                                          map[Op][]int64
+	perOp                                          map[serve.Op][]int64
 	baseCycles, optCycles                          float64
 	err                                            error
 }
 
-// RunLoad executes the closed-loop load run against a serving gateway.
-func RunLoad(cfg LoadConfig) (*LoadReport, error) {
+// Run executes the closed-loop load run against a serving node.
+func Run(cfg Config) (*Report, error) {
 	c := cfg.withDefaults()
 	if c.Addr == "" {
-		return nil, fmt.Errorf("serve: load generator needs an address")
+		return nil, fmt.Errorf("loadgen: load generator needs an address")
 	}
-	if c.Dial != nil && len(c.Attack) > 0 {
-		return nil, fmt.Errorf("serve: adversarial profiles pre-frame HTTP bodies and cannot run over a custom transport")
-	}
-	client, closeClient, err := c.newClient()
+	tr, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
-	defer closeClient()
+	defer tr.Close()
+	client := newClient(tr)
 	if c.Retries > 0 || c.HedgeUS > 0 {
-		client.SetRetryPolicy(RetryPolicy{
+		client.setRetryPolicy(retryPolicy{
 			MaxAttempts: c.Retries + 1,
 			Backoff:     time.Duration(c.BackoffUS) * time.Microsecond,
 			MaxBackoff:  time.Duration(c.BackoffUS) * time.Microsecond * 16,
@@ -363,8 +357,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	nAttack := c.attackerCount()
 	results := make([]clientResult, c.Clients+nAttack)
 	// Sample the server's allocation counters around the run; failures
-	// (older server, no /stats) just leave the alloc columns at zero.
-	preStats, _ := client.Stats()
+	// (e.g. a routing tier, whose stats are not a serve.Stats) just leave
+	// the alloc columns at zero.
+	preStats, _ := tr.Stats()
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < c.Clients; i++ {
@@ -373,7 +368,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			defer wg.Done()
 			r := &results[i]
 			r.perSize = make(map[int][]int64)
-			r.perOp = make(map[Op][]int64)
+			r.perOp = make(map[serve.Op][]int64)
 			items := c.schedule(i)
 			rng := rand.New(rand.NewSource(c.Seed + int64(i)))
 			// A separate RNG for think-time jitter keeps the payload byte
@@ -399,7 +394,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 				payload := make([]byte, it.size)
 				rng.Read(payload)
 				want := hashes.MD5Sum(payload)
-				req := &Request{
+				req := &serve.Request{
 					ID:         fmt.Sprintf("c%d-%d", i, k),
 					Op:         it.op,
 					Payload:    payload,
@@ -423,14 +418,14 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					}
 				}
 				t0 := time.Now()
-				resp, err := client.Do(req)
+				resp, err := client.do(req)
 				lat := time.Since(t0).Microseconds()
 				if err != nil {
 					r.err = err
 					return
 				}
 				switch resp.Status {
-				case StatusOK:
+				case serve.StatusOK:
 					r.ok++
 					r.bytes += int64(it.size)
 					r.latencies = append(r.latencies, lat)
@@ -457,11 +452,11 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 							}
 						}
 					}
-					if (it.op == OpSSL || it.op == OpHandshake) && len(resp.Result) > 0 {
+					if (it.op == serve.OpSSL || it.op == serve.OpHandshake) && len(resp.Result) > 0 {
 						sess = append(sess[:0], resp.Result...)
 					}
 					r.perOp[opClass] = append(r.perOp[opClass], lat)
-					if it.op == OpSSL {
+					if it.op == serve.OpSSL {
 						r.perSize[it.size] = append(r.perSize[it.size], lat)
 					}
 					if !bytes.Equal(resp.Digest, want[:]) {
@@ -469,12 +464,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					}
 					r.baseCycles += resp.EstBaseCycles
 					r.optCycles += resp.EstOptCycles
-				case StatusShed:
+				case serve.StatusShed:
 					r.shed++
 					if resp.ShedReason == "throttle" {
 						r.throttled++
 					}
-				case StatusExpired:
+				case serve.StatusExpired:
 					r.expired++
 				default:
 					r.errs++
@@ -482,39 +477,37 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 			}
 		}(i)
 	}
-	// Attackers run alongside the legit clients on a plain client (no
-	// retry policy: an attacker resubmitting its own throttled requests
-	// politely is not the adversary we are modeling) and keep firing until
-	// the last legit request completes — an attack that burns out in the
-	// opening seconds would only contaminate the head of the measurement,
-	// and the fairness bound is about sustained pressure.
+	// Attackers run alongside the legit clients, each on its own
+	// connection with no retry policy (an attacker resubmitting its own
+	// throttled requests politely is not the adversary we are modeling),
+	// and keep firing until the last legit request completes — an attack
+	// that burns out in the opening seconds would only contaminate the
+	// head of the measurement, and the fairness bound is about sustained
+	// pressure.
 	var attackWG sync.WaitGroup
 	attackDone := make(chan struct{})
-	if nAttack > 0 {
-		attackClient := NewClient(c.Addr)
-		for j := 0; j < nAttack; j++ {
-			attackWG.Add(1)
-			go func(j int) {
-				defer attackWG.Done()
-				runAttacker(c, c.Attack[j%len(c.Attack)], j, attackClient, &results[c.Clients+j], attackDone)
-			}(j)
-		}
+	for j := 0; j < nAttack; j++ {
+		attackWG.Add(1)
+		go func(j int) {
+			defer attackWG.Done()
+			runAttacker(c, c.Attack[j%len(c.Attack)], j, &results[c.Clients+j], attackDone)
+		}(j)
 	}
 	wg.Wait()
 	close(attackDone)
 	attackWG.Wait()
 	elapsed := time.Since(start)
 
-	rep := &LoadReport{Clients: c.Clients, Seconds: elapsed.Seconds()}
+	rep := &Report{Clients: c.Clients, Seconds: elapsed.Seconds()}
 	var all []int64
 	perSize := make(map[int][]int64)
-	perOp := make(map[Op][]int64)
+	perOp := make(map[serve.Op][]int64)
 	var legit, attack ClassReport
 	var legitLat, attackLat []int64
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
-			return nil, fmt.Errorf("serve: load client %d: %w", i, r.err)
+			return nil, fmt.Errorf("loadgen: load client %d: %w", i, r.err)
 		}
 		rep.OK += r.ok
 		rep.Shed += r.shed
@@ -563,8 +556,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		rep.Legit = &legit
 		rep.AttackRep = &attack
 	}
-	rep.Retries = client.Retries()
-	rep.Hedges = client.Hedges()
+	rep.Retries = client.retries.Load()
+	rep.Hedges = client.hedges.Load()
 	rep.Latency = summarize(all)
 	sizes := make([]int, 0, len(perSize))
 	for sz := range perSize {
@@ -580,7 +573,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	sort.Strings(opNames)
 	for _, op := range opNames {
-		rep.PerOp = append(rep.PerOp, OpStatsRow{Op: op, Latency: summarize(perOp[Op(op)])})
+		rep.PerOp = append(rep.PerOp, OpStatsRow{Op: op, Latency: summarize(perOp[serve.Op(op)])})
 	}
 	if elapsed > 0 {
 		rep.AchievedRPS = float64(rep.OK) / elapsed.Seconds()
@@ -592,9 +585,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		rep.ModelSpeedup = rep.ModelBaseCycles / rep.ModelOptCycles
 		rep.WallVsModelOpt = elapsed.Seconds() / rep.ModelOptSeconds
 	}
-	if postStats, _ := client.Stats(); postStats != nil && postStats.Runtime != nil &&
+	if postStats, _ := tr.Stats(); postStats != nil && postStats.Runtime != nil &&
 		preStats != nil && preStats.Runtime != nil && rep.OK > 0 {
-		w := DiffStats(preStats, postStats)
+		w := serve.DiffStats(preStats, postStats)
 		rep.AllocsPerOp = float64(w.AllocObjects) / float64(rep.OK)
 		rep.AllocBytesPerOp = float64(w.AllocBytes) / float64(rep.OK)
 		rep.GCPauseP99US = postStats.Runtime.GCPauseP99US
@@ -603,7 +596,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 }
 
 // Format renders the report for terminals.
-func (r *LoadReport) Format() string {
+func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "load: %d clients, %d requests in %.2fs — %d ok, %d shed, %d expired, %d errors, %d mismatches\n",
 		r.Clients, r.Transactions, r.Seconds, r.OK, r.Shed, r.Expired, r.Errors, r.Mismatches)

@@ -1,48 +1,11 @@
-package serve
+package loadgen
 
 import (
 	"reflect"
 	"testing"
+
+	"wisp/internal/serve"
 )
-
-// TestHistogramSubMicrosecond pins the dedicated [0,1) µs bucket:
-// Microseconds() truncation yields 0 for fast ops, which must not be
-// folded into the [1,2) bucket or pull quantiles above the observed max.
-func TestHistogramSubMicrosecond(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 8; i++ {
-		h.Observe(0)
-	}
-	h.Observe(0.5)
-	h.Observe(3)
-	s := h.Snapshot()
-	if s.Count != 10 || s.Min != 0 || s.Max != 3 {
-		t.Fatalf("count/min/max = %d/%v/%v, want 10/0/3", s.Count, s.Min, s.Max)
-	}
-	if s.P50 >= 1 {
-		t.Errorf("p50 = %v for a mostly sub-µs population, want < 1", s.P50)
-	}
-	if s.P99 < 2 || s.P99 > 3 {
-		t.Errorf("p99 = %v, want within [2, 3]", s.P99)
-	}
-
-	// All-zero population: every quantile must clamp to 0, not report
-	// half a microsecond nobody observed.
-	var z Histogram
-	z.Observe(0)
-	z.Observe(0)
-	z.Observe(0)
-	if zs := z.Snapshot(); zs.P50 != 0 || zs.P99 != 0 || zs.Max != 0 {
-		t.Errorf("all-zero snapshot = %+v, want zero quantiles", zs)
-	}
-
-	// Boundary: 1 µs belongs to bucket [1,2), not the sub-µs bucket.
-	var b Histogram
-	b.Observe(1)
-	if bs := b.Snapshot(); bs.P50 != 1 {
-		t.Errorf("single 1µs observation p50 = %v, want 1 (clamped to max)", bs.P50)
-	}
-}
 
 // TestSummarizeNearestRank pins the ceil(p·n) quantile rank so small
 // samples never report p50 below the true median.
@@ -83,16 +46,16 @@ func TestSummarizeNearestRank(t *testing.T) {
 // j with size j; independent draws must cover the full cross product,
 // deterministically per seed.
 func TestScheduleDecorrelated(t *testing.T) {
-	cfg := LoadConfig{
+	cfg := Config{
 		Mix:       []int{16, 32},
-		Ops:       []Op{OpMD5, OpSHA1},
+		Ops:       []serve.Op{serve.OpMD5, serve.OpSHA1},
 		PerClient: 64,
 		Seed:      5,
 	}.withDefaults()
 
 	type pair struct {
 		size int
-		op   Op
+		op   serve.Op
 	}
 	seen := make(map[pair]bool)
 	for client := 0; client < cfg.Clients; client++ {

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"wisp/internal/hashes"
-	"wisp/internal/mpz"
-	"wisp/internal/rsakey"
 )
 
 // rsaBurstBehindSlowOp occupies the single shard with a long SSL
@@ -139,48 +137,5 @@ func TestRuntimeBatchKnobs(t *testing.T) {
 	gw.SetBatchWidth(0)
 	if gw.BatchWidth() != 1 {
 		t.Fatalf("SetBatchWidth(0) read back %d, want clamp to 1", gw.BatchWidth())
-	}
-}
-
-// TestEngineConfigSwitch re-selects the shard RSA engine configuration
-// mid-serve and verifies ops still round-trip correctly before and after
-// the swap — the correctness half of the governor's re-selection path.
-func TestEngineConfigSwitch(t *testing.T) {
-	gw := testGateway(t, Config{Shards: 2, Seed: 43})
-	check := func(tag string) {
-		for i := 0; i < 4; i++ {
-			payload := []byte(fmt.Sprintf("%s payload %d", tag, i))
-			resp := gw.Submit(&Request{Op: OpRSADecrypt, Payload: payload})
-			if resp.Status != StatusOK {
-				t.Fatalf("%s op %d: %s (%s)", tag, i, resp.Status, resp.Error)
-			}
-			digest := hashes.MD5Sum(payload)
-			if !bytes.Equal(resp.Digest, digest[:]) {
-				t.Fatalf("%s op %d: digest mismatch", tag, i)
-			}
-		}
-		if resp := gw.Submit(&Request{Op: OpHandshake, Payload: []byte(tag)}); resp.Status != StatusOK {
-			t.Fatalf("%s handshake: %s (%s)", tag, resp.Status, resp.Error)
-		}
-	}
-	check("before")
-
-	next := EngineConfig{
-		Exp: mpz.ExpConfig{Alg: mpz.ModMulBarrett, WindowBits: 2, Cache: mpz.CacheNone},
-		CRT: rsakey.CRTGauss,
-	}
-	if err := gw.SetEngineConfig(next); err != nil {
-		t.Fatal(err)
-	}
-	if got := gw.EngineConfig(); got != next {
-		t.Fatalf("EngineConfig read back %v, want %v", got, next)
-	}
-	check("after")
-	if s := gw.Stats(); s.EngineConfig != next.String() {
-		t.Fatalf("stats engine config %q, want %q", s.EngineConfig, next.String())
-	}
-
-	if err := gw.SetEngineConfig(EngineConfig{Exp: mpz.ExpConfig{WindowBits: 99}}); err == nil {
-		t.Fatal("invalid engine config accepted")
 	}
 }

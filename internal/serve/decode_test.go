@@ -1,163 +1,254 @@
-package serve
+package serve_test
+
+// The gateway's request decode lives in the binary wire listener
+// (internal/wire), which parses a frame's bounded header — op, client
+// identity, declared payload length — before reading any payload.  These
+// cases drive a real Gateway through that listener and check the
+// gateway-side rejected_decode series.
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
-	"errors"
-	"fmt"
+	"context"
+	"encoding/binary"
 	"io"
-	"runtime"
+	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"wisp/internal/bufpool"
+	"wisp/internal/hashes"
+	"wisp/internal/serve"
+	"wisp/internal/wire"
 )
 
-func TestDecodeRequestRoundTrip(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xC3}, 5000)
-	body, err := json.Marshal(&Request{
-		ID: "r1", Op: OpMD5, Payload: payload, ClientID: "tenant-a",
-		DeadlineUS: 12345, Resume: false,
+// startWireGateway boots a gateway behind a wire listener on a free port
+// and tears both down with the test.
+func startWireGateway(t *testing.T, cfg serve.Config, readTimeout time.Duration) (*serve.Gateway, string) {
+	t.Helper()
+	gw, err := serve.NewGateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw, startWireServer(t, gw, readTimeout)
+}
+
+// startWireServer fronts h with a wire listener on a free port.  Cleanup
+// drains the gateway first so in-flight requests answer before the
+// sockets drop.
+func startWireServer(t *testing.T, h wire.Handler, readTimeout time.Duration) string {
+	t.Helper()
+	srv := wire.NewServer(h, wire.ServerConfig{ReadTimeout: readTimeout})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve() }()
+	t.Cleanup(func() {
+		if gw, ok := h.(interface{ Drain(context.Context) error }); ok {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := gw.Drain(ctx); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := <-serveDone; err != nil {
+			t.Errorf("serve: %v", err)
+		}
 	})
+	return addr.String()
+}
+
+// rawRequestHeader assembles preamble + one md5 request header by hand,
+// bypassing the encoder's bounds, declaring payloadLen body bytes.  The op
+// byte is copied from a legal encoded md5 frame (uvarint(len) type seq
+// flags op ...: index 4).
+func rawRequestHeader(t *testing.T, clientID string, payloadLen uint64) []byte {
+	t.Helper()
+	var enc wire.Encoder
+	legal, err := enc.Request(nil, 1, &serve.Request{Op: serve.OpMD5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := DecodeRequest(bytes.NewReader(body))
+	hdr := []byte{wire.FrameRequest, 1, 0, legal[4]} // type, seq, flags, op
+	hdr = append(hdr, 0, 0, 0)                       // attempt, record size, deadline
+	hdr = append(hdr, 0)                             // str(id) = ""
+	hdr = binary.AppendUvarint(hdr, uint64(len(clientID)))
+	hdr = append(hdr, clientID...)
+	hdr = append(hdr, 0) // str(key) = ""
+	hdr = binary.AppendUvarint(hdr, payloadLen)
+	out := []byte{wire.Magic0, wire.Magic1, wire.Magic2, wire.Version}
+	out = binary.AppendUvarint(out, uint64(len(hdr)))
+	return append(out, hdr...)
+}
+
+// expectRefusedUnread sends a header and no body, and expects the
+// listener to hang up on its own: a server that waited for the declared
+// body would leave the connection open until the read deadline here.
+func expectRefusedUnread(t *testing.T, gw *serve.Gateway, addr string, frame []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.ID != "r1" || req.Op != OpMD5 || req.ClientID != "tenant-a" || req.DeadlineUS != 12345 {
-		t.Fatalf("envelope fields mangled: %+v", req)
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(req.Payload, payload) {
-		t.Fatalf("payload mangled: %d bytes, want %d", len(req.Payload), len(payload))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
 	}
-	ReleaseRequest(req)
-	if req.Payload != nil {
+	if n != 0 {
+		t.Fatalf("server answered %d bytes to a refused header", n)
+	}
+	if got := gw.Stats().RejectedDecode; got != 1 {
+		t.Fatalf("rejected_decode = %d, want 1", got)
+	}
+	if s := gw.Stats(); s.Requests != 0 {
+		t.Fatalf("refused header reached Submit: %d requests", s.Requests)
+	}
+}
+
+// recordingGateway captures a copy of every request the listener submits.
+type recordingGateway struct {
+	*serve.Gateway
+	mu   sync.Mutex
+	seen []serve.Request
+}
+
+func (g *recordingGateway) Submit(req *serve.Request) *serve.Response {
+	cp := *req
+	cp.Payload = append([]byte(nil), req.Payload...)
+	cp.Key = append([]byte(nil), req.Key...)
+	g.mu.Lock()
+	g.seen = append(g.seen, cp)
+	g.mu.Unlock()
+	return g.Gateway.Submit(req)
+}
+
+// TestDecodeRequestRoundTrip checks that every request field crosses the
+// listener into Submit intact, and that the listener's pooled request
+// shells do not leak one request's key into the next.
+func TestDecodeRequestRoundTrip(t *testing.T) {
+	gw, err := serve.NewGateway(serve.Config{Shards: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingGateway{Gateway: gw}
+	tr, err := wire.Dial(startWireServer(t, rec, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	payload := bytes.Repeat([]byte{0xC3}, 5000)
+	key := bytes.Repeat([]byte{0x5A}, 20)
+	reqs := []*serve.Request{
+		{ID: "r1", Op: serve.OpHMACMD5, Payload: payload, Key: key, ClientID: "tenant-a",
+			DeadlineUS: 12_345_678, RecordSize: 512, Attempt: 2, Hedge: true},
+		{ID: "r2", Op: serve.OpMD5, Payload: payload[:7], ClientID: "tenant-b"},
+	}
+	for _, req := range reqs {
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := hashes.MD5Sum(req.Payload)
+		if resp.Status != serve.StatusOK || resp.ID != req.ID || !bytes.Equal(resp.Digest, want[:]) {
+			t.Fatalf("%s: response %+v", req.ID, resp)
+		}
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.seen) != len(reqs) {
+		t.Fatalf("handler saw %d requests, want %d", len(rec.seen), len(reqs))
+	}
+	for i, got := range rec.seen {
+		want := reqs[i]
+		if got.ID != want.ID || got.Op != want.Op || got.ClientID != want.ClientID ||
+			got.DeadlineUS != want.DeadlineUS || got.RecordSize != want.RecordSize ||
+			got.Attempt != want.Attempt || got.Hedge != want.Hedge || got.Resume != want.Resume {
+			t.Errorf("request %d envelope mangled: %+v", i, got)
+		}
+		if !bytes.Equal(got.Payload, want.Payload) || !bytes.Equal(got.Key, want.Key) {
+			t.Errorf("request %d payload/key mangled: %d/%d bytes", i, len(got.Payload), len(got.Key))
+		}
+	}
+
+	pooled := &serve.Request{Payload: bufpool.Get(64)}
+	serve.ReleaseRequest(pooled)
+	if pooled.Payload != nil {
 		t.Fatal("ReleaseRequest left the payload attached")
 	}
 }
 
-// TestDecodeRejectsOversizedPayloadBeforeDecode proves the rejection
-// ordering: the oversized token is stuffed with bytes that are NOT valid
-// base64, so if the decoder ever touched the content before checking the
-// size, the error would be "bad base64" instead of the size rejection.
-// The size check firing first is what guarantees no decode buffer is
-// taken from bufpool for over-limit payloads.
+// TestDecodeRejectsOversizedPayloadBeforeDecode sends a header declaring
+// a payload one byte over the limit: the listener must count the
+// rejection and hang up without reading the body.
 func TestDecodeRejectsOversizedPayloadBeforeDecode(t *testing.T) {
-	junk := strings.Repeat("!", base64.StdEncoding.EncodedLen(MaxPayload)+400)
-	body := fmt.Sprintf(`{"op":"md5","payload":%q}`, junk)
-	_, err := DecodeRequest(strings.NewReader(body))
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("error %v (%T), want *ValidationError", err, err)
-	}
-	if ve.Field != "payload" || !strings.Contains(ve.Reason, "exceeds limit") {
-		t.Fatalf("rejection %+v, want payload size rejection (not a base64 error)", ve)
-	}
+	gw, addr := startWireGateway(t, serve.Config{Shards: 1, Seed: 7}, 0)
+	expectRefusedUnread(t, gw, addr, rawRequestHeader(t, "tenant-a", serve.MaxPayload+1))
 }
 
+// TestDecodeRejectsOversizedClientID sends an over-long ClientID with a
+// small declared payload: refused from the header alone, like the
+// oversized payload.
 func TestDecodeRejectsOversizedClientID(t *testing.T) {
-	// The ClientID bound applies before any payload handling: pair the
-	// long ID with an oversized payload and the ID rejection must win.
-	longID := strings.Repeat("x", MaxClientID+1)
-	big := strings.Repeat("!", base64.StdEncoding.EncodedLen(MaxPayload)+400)
-	body := fmt.Sprintf(`{"op":"md5","client_id":%q,"payload":%q}`, longID, big)
-	_, err := DecodeRequest(strings.NewReader(body))
-	var ve *ValidationError
-	if !errors.As(err, &ve) {
-		t.Fatalf("error %v (%T), want *ValidationError", err, err)
-	}
-	if ve.Field != "client_id" {
-		t.Fatalf("rejected on %q, want client_id first", ve.Field)
-	}
+	gw, addr := startWireGateway(t, serve.Config{Shards: 1, Seed: 7}, 0)
+	long := string(bytes.Repeat([]byte{'c'}, serve.MaxClientID+1))
+	expectRefusedUnread(t, gw, addr, rawRequestHeader(t, long, 16))
 }
 
+// TestDecodeMaxLegalPayloadAccepted: the bound is inclusive — a payload
+// of exactly MaxPayload bytes is served, and nothing is counted rejected.
 func TestDecodeMaxLegalPayloadAccepted(t *testing.T) {
-	payload := make([]byte, MaxPayload)
-	body, err := json.Marshal(&Request{Op: OpMD5, Payload: payload})
+	gw, addr := startWireGateway(t, serve.Config{Shards: 1, Seed: 7}, 0)
+	tr, err := wire.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := DecodeRequest(bytes.NewReader(body))
+	defer tr.Close()
+	payload := bytes.Repeat([]byte{0x42}, serve.MaxPayload)
+	resp, err := tr.RoundTrip(&serve.Request{Op: serve.OpMD5, Payload: payload, ClientID: "big"})
 	if err != nil {
-		t.Fatalf("maximum legal payload rejected: %v", err)
+		t.Fatal(err)
 	}
-	if len(req.Payload) != MaxPayload {
-		t.Fatalf("decoded %d bytes, want %d", len(req.Payload), MaxPayload)
+	want := hashes.MD5Sum(payload)
+	if resp.Status != serve.StatusOK || !bytes.Equal(resp.Digest, want[:]) {
+		t.Fatalf("max legal payload: %+v", resp)
 	}
-	ReleaseRequest(req)
-}
-
-// endlessBase64 claims to stream an arbitrarily large body.
-type endlessBase64 struct{ n int64 }
-
-func (r *endlessBase64) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 'A'
-	}
-	r.n += int64(len(p))
-	return len(p), nil
-}
-
-// TestDecodeBoundsAllocationForUnboundedBody streams a body that never
-// ends: the decoder must stop reading at the wire cap and reject, with
-// total allocation proportional to MaxWireBytes — not to whatever the
-// attacker claims to be sending.
-func TestDecodeBoundsAllocationForUnboundedBody(t *testing.T) {
-	head := `{"op":"md5","payload":"`
-	run := func() (*Request, error) {
-		src := io.MultiReader(strings.NewReader(head), &endlessBase64{})
-		return DecodeRequest(src)
-	}
-	// Warm the decoder's internal pools before measuring.
-	if _, err := run(); err == nil {
-		t.Fatal("unbounded body accepted")
-	}
-
-	const rounds = 8
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		if _, err := run(); err == nil {
-			t.Fatal("unbounded body accepted")
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perCall := int64(after.TotalAlloc-before.TotalAlloc) / rounds
-	// Each rejection may buffer up to the wire cap (the envelope raw token)
-	// a couple of times inside encoding/json; 8x the cap is generous, while
-	// an implementation that buffered the attacker-claimed body would blow
-	// far past it.
-	if limit := int64(MaxWireBytes) * 8; perCall > limit {
-		t.Fatalf("rejection allocates %d bytes/call, limit %d", perCall, limit)
+	if got := gw.Stats().RejectedDecode; got != 0 {
+		t.Fatalf("rejected_decode = %d for a legal payload", got)
 	}
 }
 
-// TestDecodeErrorResponseShape verifies rejected bodies still answer with
-// a protocol-shaped response.
+// TestDecodeErrorResponseShape: a header that parses but fails the
+// gateway's request validation is answered with an error-status
+// response frame, and the connection stays usable.
 func TestDecodeErrorResponseShape(t *testing.T) {
-	_, err := DecodeRequest(strings.NewReader("{not json"))
-	if err == nil {
-		t.Fatal("garbage accepted")
+	_, addr := startWireGateway(t, serve.Config{Shards: 1, Seed: 7}, 0)
+	tr, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp := decodeErrorResponse(err)
-	if resp.Status != StatusError || resp.Shard != -1 || resp.Error == "" {
-		t.Fatalf("malformed error response: %+v", resp)
+	defer tr.Close()
+	resp, err := tr.RoundTrip(&serve.Request{ID: "bad", Op: serve.OpMD5, Resume: true, Payload: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDecodeNullAndEmptyPayload(t *testing.T) {
-	for _, body := range []string{
-		`{"op":"md5"}`,
-		`{"op":"md5","payload":null}`,
-	} {
-		req, err := DecodeRequest(strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		if req.Payload != nil {
-			t.Fatalf("%s: phantom payload %d bytes", body, len(req.Payload))
-		}
+	if resp.Status != serve.StatusError || resp.ID != "bad" || resp.Shard != -1 ||
+		!strings.Contains(resp.Error, "resume") {
+		t.Fatalf("invalid request answered %+v, want a resume validation error", resp)
+	}
+	ok, err := tr.RoundTrip(&serve.Request{Op: serve.OpMD5, Payload: []byte("x")})
+	if err != nil || ok.Status != serve.StatusOK {
+		t.Fatalf("connection unusable after an error response: %v %+v", err, ok)
 	}
 }

@@ -69,16 +69,56 @@ func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 	}
 }
 
-// TestWorkStealing forces the legacy round-robin policy so record ops
-// land behind a long transaction, and expects the idle shard to steal
-// them; the steal counters must agree between the gateway-wide total and
-// the per-op breakdown.
+// servingShard polls until exactly one shard carries backlog cost with
+// every queue empty — the shard serving the lone submitted op — and the
+// answer holds across two samples (a steal in progress moves the charge
+// between shards).  Fails the test after 2 s.
+func servingShard(t *testing.T, gw *Gateway) *shard {
+	t.Helper()
+	sample := func() *shard {
+		var busy *shard
+		for _, sh := range gw.shards {
+			if gw.metrics.queueDepth[sh.id].Load() != 0 {
+				return nil
+			}
+			if sh.cost.Load() > 0 {
+				if busy != nil {
+					return nil
+				}
+				busy = sh
+			}
+		}
+		return busy
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if a := sample(); a != nil {
+			time.Sleep(2 * time.Millisecond)
+			if sample() == a {
+				return a
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("no shard ever settled into serving the slow op")
+	return nil
+}
+
+// TestWorkStealing forces an imbalance through the dispatcher's own
+// signal: once a slow transaction is in service, the other (idle) shard's
+// backlog is mispriced as enormous, so cost dispatch queues every record
+// op behind the slow one.  The idle shard must steal them; the steal
+// counters must agree between the gateway-wide total and the per-op
+// breakdown.
 func TestWorkStealing(t *testing.T) {
-	gw := testGateway(t, Config{Shards: 2, Dispatch: DispatchRR, BatchMax: 1, Seed: 33})
+	gw := testGateway(t, Config{Shards: 2, BatchMax: 1, Seed: 33})
 	slow := make([]byte, 128<<10)
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
-	waitBusy(t, gw)
+	idle := gw.shards[1-servingShard(t, gw).id]
+	const mispriced = int64(1) << 40
+	idle.cost.Add(mispriced)
+	defer idle.cost.Add(-mispriced)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -173,12 +213,5 @@ func TestDispatchDeterministicSingleShard(t *testing.T) {
 			string(a[i].Digest) != string(b[i].Digest) || string(a[i].Result) != string(b[i].Result) {
 			t.Errorf("response %d diverged between identical seeded runs", i)
 		}
-	}
-}
-
-// TestDispatchConfigValidation rejects unknown policies.
-func TestDispatchConfigValidation(t *testing.T) {
-	if _, err := NewGateway(Config{Shards: 1, Dispatch: "fastest"}); err == nil {
-		t.Error("unknown dispatch policy accepted")
 	}
 }

@@ -18,21 +18,6 @@ import (
 	"wisp/internal/ssl"
 )
 
-// Dispatch policies.  The workload is pathologically heterogeneous (an
-// RSA private-key op costs ~5 orders of magnitude more than a
-// record-layer byte), so blind round-robin head-of-line-blocks cheap
-// record ops behind queued handshakes; cost-aware dispatch prices each
-// shard's backlog per op instead.
-const (
-	// DispatchCost is power-of-two-choices over estimated backlog cost
-	// (queued + in-service work, priced by per-op service EWMAs), with
-	// idle shards stealing queued work from loaded neighbors.
-	DispatchCost = "cost"
-	// DispatchRR is the legacy blind round-robin cursor, kept for A/B
-	// comparison (work stealing still applies).
-	DispatchRR = "rr"
-)
-
 // Config tunes the gateway.  The zero value selects serving defaults.
 type Config struct {
 	// Shards is the number of worker shards (simulated platform
@@ -70,9 +55,6 @@ type Config struct {
 	Seed int64
 	// RecordSize chunks OpSSL payloads into records.  Default 1024.
 	RecordSize int
-	// Dispatch selects the admission policy: DispatchCost (default) or
-	// DispatchRR.
-	Dispatch string
 	// SessionCap bounds the SSL session cache (master secrets resumable
 	// by abbreviated handshakes).  0 selects the default 4096; negative
 	// disables resumption entirely (every handshake is full).
@@ -184,9 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.RecordSize <= 0 {
 		c.RecordSize = 1024
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchCost
-	}
 	if c.SessionCap == 0 {
 		c.SessionCap = 4096
 	}
@@ -233,7 +212,12 @@ type task struct {
 	resp     chan *Response
 }
 
-// Gateway dispatches offload requests across worker shards.
+// Gateway dispatches offload requests across worker shards.  The workload
+// is pathologically heterogeneous (an RSA private-key op costs ~5 orders
+// of magnitude more than a record-layer byte), so admission prices each
+// shard's backlog per op: power-of-two-choices over estimated backlog
+// cost (queued + in-service work, priced by per-op service EWMAs), with
+// idle shards stealing queued work from loaded neighbors.
 type Gateway struct {
 	cfg      Config
 	key      *rsakey.PrivateKey
@@ -242,13 +226,20 @@ type Gateway struct {
 	sessions *ssl.SessionCache // shared session store; nil when resumption is disabled
 	qos      *qos              // per-client isolation; nil when ClientRateUS == 0
 
-	next     atomic.Uint64 // round-robin shard cursor (DispatchRR)
 	rngMu    sync.Mutex
-	rng      *rand.Rand    // power-of-two-choices sampling (DispatchCost)
+	rng      *rand.Rand    // power-of-two-choices sampling
 	workHint chan struct{} // pings idle shards that queued work exists somewhere
 
+	// Drain handshake (see enter): a Submit counts itself into inflight
+	// and then checks draining, and Drain sets draining before it reads
+	// inflight, so a Submit that Drain did not count always sees
+	// draining and sheds unqueued.  Whoever sees inflight at zero while
+	// draining closes idle, once.  (A WaitGroup panics on Add during a
+	// parked Wait, which live traffic at SIGTERM produces.)
 	draining   atomic.Bool
-	inflight   sync.WaitGroup // Submit calls in progress
+	inflight   atomic.Int64  // Submit calls in progress
+	idle       chan struct{} // closed once draining with no Submit in flight
+	idleOnce   sync.Once
 	workers    sync.WaitGroup
 	drainStart chan struct{} // closed when Drain begins: aborts gather waits
 	drained    chan struct{}
@@ -261,13 +252,6 @@ type Gateway struct {
 	batchWidth    atomic.Int64
 	batchGatherUS atomic.Int64
 
-	// engCfg is the desired RSA engine configuration; engGen bumps on
-	// every change and each shard rebuilds its engine at the next safe
-	// point in its own serving loop (the engine is shard-goroutine-owned).
-	engMu  sync.Mutex
-	engCfg EngineConfig
-	engGen atomic.Uint64
-
 	// replView snapshots the replication layer's counters for Stats; nil
 	// when no replication is wired (SetSessionReplication never called).
 	replView func() *ReplicationView
@@ -276,42 +260,11 @@ type Gateway struct {
 	govView func() *GovernorView
 }
 
-// EngineConfig is the runtime-switchable part of a shard's RSA engine:
-// the modular-exponentiation algorithm point and the CRT mode.  It is
-// the serving-side projection of an explore.Config (radix is pinned to
-// the native 32 — radix 16 exists only as an analytic trace transform).
-type EngineConfig struct {
-	Exp mpz.ExpConfig
-	CRT rsakey.CRTMode
-}
-
-// String renders the configuration the way the exploration engine names
-// its candidates ("montgomery/w4/garner/cache-reducer").
-func (ec EngineConfig) String() string {
-	return fmt.Sprintf("%s/w%d/%s/%s", ec.Exp.Alg, ec.Exp.WindowBits, ec.CRT, ec.Exp.Cache)
-}
-
-// Validate reports whether the configuration can actually build engines.
-func (ec EngineConfig) Validate() error {
-	if err := ec.Exp.Validate(); err != nil {
-		return err
-	}
-	for _, m := range rsakey.CRTModes {
-		if ec.CRT == m {
-			return nil
-		}
-	}
-	return fmt.Errorf("serve: unknown CRT mode %d", ec.CRT)
-}
-
 // NewGateway builds and starts a gateway: one RSA key, `Shards` worker
 // shards each with its own RNG stream, established record session pair
 // and symmetric key schedule.
 func NewGateway(cfg Config) (*Gateway, error) {
 	c := cfg.withDefaults()
-	if c.Dispatch != DispatchCost && c.Dispatch != DispatchRR {
-		return nil, fmt.Errorf("serve: unknown dispatch policy %q (want %q or %q)", c.Dispatch, DispatchCost, DispatchRR)
-	}
 	if err := c.BaseCosts.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: base costs: %w", err)
 	}
@@ -328,12 +281,12 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		key:        key,
 		metrics:    NewMetrics(c.Shards),
 		workHint:   make(chan struct{}, c.Shards*c.QueueDepth),
+		idle:       make(chan struct{}),
 		drainStart: make(chan struct{}),
 		drained:    make(chan struct{}),
 	}
 	g.batchWidth.Store(int64(c.BatchWidth))
 	g.batchGatherUS.Store(c.BatchGatherUS)
-	g.engCfg = EngineConfig{Exp: rsakey.DefaultExpConfig, CRT: rsakey.CRTGarner}
 	if c.SessionCap > 0 {
 		g.sessions = ssl.NewSessionCache(c.SessionCap, c.SessionTTL)
 	}
@@ -357,9 +310,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// Metrics returns the gateway's observability core.
-func (g *Gateway) Metrics() *Metrics { return g.metrics }
 
 // SetSessionReplication wires the session-secret replication layer into
 // the gateway's session cache: onStore observes every full-handshake
@@ -397,10 +347,9 @@ func (g *Gateway) ReplicaLookup(id []byte) ([]byte, bool) {
 }
 
 // Stats snapshots every counter, gauge and histogram, including the
-// dispatch policy's live queue-cost and per-op pricing gauges.
+// dispatcher's live queue-cost and per-op pricing gauges.
 func (g *Gateway) Stats() Stats {
 	s := g.metrics.Snapshot(g.cfg.QueueDepth)
-	s.Dispatch = g.cfg.Dispatch
 	s.QueueCostUS = make([]int64, len(g.shards))
 	for i, sh := range g.shards {
 		s.QueueCostUS[i] = sh.cost.Load()
@@ -424,7 +373,6 @@ func (g *Gateway) Stats() Stats {
 	}
 	s.BatchWidth = g.BatchWidth()
 	s.BatchGatherUS = g.BatchGatherUS()
-	s.EngineConfig = g.EngineConfig().String()
 	if g.qos != nil {
 		s.QoS = g.qos.view()
 	}
@@ -473,35 +421,6 @@ func (g *Gateway) SetBatchGatherUS(us int64) {
 	g.batchGatherUS.Store(us)
 }
 
-// EngineConfig returns the desired RSA engine configuration (shards
-// converge to it at their next serving cycle).
-func (g *Gateway) EngineConfig() EngineConfig {
-	g.engMu.Lock()
-	defer g.engMu.Unlock()
-	return g.engCfg
-}
-
-// SetEngineConfig requests every shard rebuild its RSA engine at the
-// given configuration.  The swap is asynchronous and per-shard: each
-// worker applies it at the top of its next serving cycle, on its own
-// goroutine, so no lock is ever taken on the decrypt path.  The switch
-// cost is a cold precompute cache (reducer constants and CRT
-// exponentiators re-derive on first use) — the governor's A/B window is
-// what keeps that honest.
-func (g *Gateway) SetEngineConfig(ec EngineConfig) error {
-	if err := ec.Validate(); err != nil {
-		return err
-	}
-	g.engMu.Lock()
-	changed := ec != g.engCfg
-	g.engCfg = ec
-	g.engMu.Unlock()
-	if changed {
-		g.engGen.Add(1)
-	}
-	return nil
-}
-
 // SetGovernorView wires an adaptive governor's counter snapshot into
 // Stats (mirrors SetSessionReplication's view hook).
 func (g *Gateway) SetGovernorView(view func() *GovernorView) { g.govView = view }
@@ -517,16 +436,15 @@ func (g *Gateway) BacklogUS() int64 {
 	return total
 }
 
-// StatsJSON renders the stats snapshot as JSON (the wire-protocol stats
-// frame payload; the HTTP front end encodes the same document).
+// StatsJSON renders the stats snapshot as JSON (the wire protocol stats
+// frame payload; the admin listener serves the same document).
 func (g *Gateway) StatsJSON() ([]byte, error) {
 	return json.Marshal(g.Stats())
 }
 
-// NoteRejectedDecode forwards a front-end decode rejection into the
-// metrics core, so the HTTP and binary wire listeners count hardened-decode
-// refusals in the same series.
-func (g *Gateway) NoteRejectedDecode() { g.metrics.NoteRejectedDecode() }
+// NoteRejectedDecode forwards a wire-listener decode rejection into the
+// metrics core's rejected_decode series.
+func (g *Gateway) NoteRejectedDecode() { g.metrics.rejectedDecode.Add(1) }
 
 // Draining reports whether the gateway has begun shutting down.
 func (g *Gateway) Draining() bool { return g.draining.Load() }
@@ -536,9 +454,6 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // queue: admission control sheds instead, so a load spike degrades into
 // fast rejections rather than unbounded latency.
 func (g *Gateway) Submit(req *Request) *Response {
-	g.inflight.Add(1)
-	defer g.inflight.Done()
-
 	now := time.Now()
 	om := g.metrics.op(req.Op)
 	om.requests.Add(1)
@@ -556,7 +471,7 @@ func (g *Gateway) Submit(req *Request) *Response {
 		om.errors.Add(1)
 		return &Response{ID: req.ID, Op: req.Op, Status: StatusError, Error: err.Error(), Shard: -1}
 	}
-	if g.draining.Load() {
+	if !g.enter() {
 		if req.preEst > 0 && g.qos != nil {
 			g.qos.cancel(req.clientKey())
 		}
@@ -564,6 +479,7 @@ func (g *Gateway) Submit(req *Request) *Response {
 		g.metrics.shedDraining.Add(1)
 		return &Response{ID: req.ID, Op: req.Op, Status: StatusShed, ShedReason: "draining", Error: "gateway draining", Shard: -1}
 	}
+	defer g.leave()
 
 	if g.qos == nil {
 		return g.dispatch(req, om, now)
@@ -591,13 +507,13 @@ func (g *Gateway) Submit(req *Request) *Response {
 }
 
 // Preadmit prices one request from its envelope alone — op, client key
-// and payload size are all knowable before the payload is decoded — and
-// charges the client's token bucket.  A nil response means proceed: the
-// caller materializes the payload, stamps the request with
+// and payload size are all in a wire frame's header, ahead of the
+// payload — and charges the client's token bucket.  A nil response means
+// proceed: the caller reads the payload, stamps the request with
 // SetPreadmitted(est) and Submits it.  A non-nil response is the throttle
-// shed to answer with; the refused payload is never materialized, so a
+// shed to answer with; the refused payload is never buffered, so a
 // client the bucket has already cut off cannot make the gateway pay the
-// base64-and-allocate cost of work it will not do.  Unknown ops and the
+// read-and-allocate cost of work it will not do.  Unknown ops and the
 // QoS-off/draining paths pass through unpriced (est 0) — Submit rejects
 // or sheds those with the same answers it always gave.
 func (g *Gateway) Preadmit(op Op, clientKey string, payloadBytes int) (int64, *Response) {
@@ -725,19 +641,15 @@ func (g *Gateway) dispatch(req *Request, om *opMetrics, now time.Time) *Response
 	return resp
 }
 
-// pick chooses the admission shard.  DispatchCost samples two distinct
-// shards and takes the one with the cheaper estimated backlog
+// pick chooses the admission shard: it samples two distinct shards and
+// takes the one with the cheaper estimated backlog
 // (power-of-two-choices); the bool reports whether the choice differs
-// from the first-sampled candidate (a redirect).  DispatchRR is the
-// legacy blind cursor.  With one shard both policies are the identity,
-// so `-seed` runs at workers=1 stay fully deterministic.
+// from the first-sampled candidate (a redirect).  With one shard the pick
+// is the identity, so `-seed` runs at workers=1 stay fully deterministic.
 func (g *Gateway) pick(op Op) (*shard, bool) {
 	n := len(g.shards)
 	if n == 1 {
 		return g.shards[0], false
-	}
-	if g.cfg.Dispatch == DispatchRR {
-		return g.shards[g.next.Add(1)%uint64(n)], false
 	}
 	g.rngMu.Lock()
 	i := g.rng.Intn(n)
@@ -828,7 +740,7 @@ func (g *Gateway) hintWork() {
 
 // noteShedWhileIdle counts sheds issued while some shard had an empty
 // backlog — the head-of-line signature cost-aware dispatch exists to
-// eliminate.  It should stay zero under DispatchCost.
+// eliminate.  It should stay zero.
 func (g *Gateway) noteShedWhileIdle() {
 	for _, sh := range g.shards {
 		if sh.cost.Load() == 0 {
@@ -851,13 +763,16 @@ func (g *Gateway) Drain(ctx context.Context) error {
 			// Every admitted task's Submit call is still parked on its
 			// response channel, so waiting for in-flight Submits to return
 			// is exactly waiting for the queues to empty.
-			g.inflight.Wait()
+			<-g.idle
 			for _, s := range g.shards {
 				close(s.stop)
 			}
 			g.workers.Wait()
 			close(g.drained)
 		}()
+		if g.inflight.Load() == 0 {
+			g.markIdle()
+		}
 	})
 	select {
 	case <-g.drained:
@@ -866,6 +781,33 @@ func (g *Gateway) Drain(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
+
+// enter counts one Submit in, or reports false once the gateway is
+// draining.  The first check keeps the arrivals a draining gateway sheds
+// off the count entirely, so a steady stream of them cannot hold it
+// above zero and starve Drain; the second closes the race with a Drain
+// that read the count between the check and the increment.
+func (g *Gateway) enter() bool {
+	if g.draining.Load() {
+		return false
+	}
+	g.inflight.Add(1)
+	if g.draining.Load() {
+		g.leave()
+		return false
+	}
+	return true
+}
+
+// leave counts one Submit out, closing idle if it was the last one in
+// flight after Drain began.
+func (g *Gateway) leave() {
+	if g.inflight.Add(-1) == 0 && g.draining.Load() {
+		g.markIdle()
+	}
+}
+
+func (g *Gateway) markIdle() { g.idleOnce.Do(func() { close(g.idle) }) }
 
 // estTransaction prices one SSL transaction of n payload bytes under both
 // cost models.
@@ -944,10 +886,6 @@ type shard struct {
 	rng *rand.Rand
 	ctx *mpz.Ctx
 	env *shardEnv
-
-	// engGen is the gateway engine-config generation this shard has
-	// applied; only the shard's own goroutine reads or writes it.
-	engGen uint64
 
 	// cost is the estimated µs of work this shard is committed to:
 	// every queued task's admission estimate plus the task currently in
@@ -1122,7 +1060,6 @@ func (s *shard) collect(first *task) []*task {
 // within each group) and serves each group; compatible record-layer ops
 // thus share one pass over the shard's session machinery.
 func (s *shard) serveBatch(batch []*task) {
-	s.applyEngineConfig()
 	width, gather := s.g.BatchWidth(), s.g.BatchGatherUS()
 	var order []Op
 	groups := make(map[Op][]*task)
@@ -1150,27 +1087,6 @@ func (s *shard) serveBatch(batch []*task) {
 			s.serveOne(t, len(group))
 		}
 	}
-}
-
-// applyEngineConfig converges this shard's RSA engine on the gateway's
-// desired configuration.  Called at the top of every serving cycle on
-// the shard's own goroutine — the engine (and the session-cache decrypt
-// hook, which closes over the env pointer) is goroutine-owned, so the
-// swap needs no lock beyond reading the desired config.  The steady
-// state is one atomic load and a branch.
-func (s *shard) applyEngineConfig() {
-	gen := s.g.engGen.Load()
-	if gen == s.engGen {
-		return
-	}
-	ec := s.g.EngineConfig()
-	eng, err := rsakey.NewEngine(s.ctx, ec.Exp, ec.CRT, s.g.cfg.PrecomputeKeys, 0)
-	if err == nil {
-		s.env.engine = eng
-	}
-	// SetEngineConfig validated ec, so err is impossible; marking the
-	// generation applied either way prevents a rebuild loop.
-	s.engGen = gen
 }
 
 // serveOne executes one task (deadline check, op dispatch, reply) and

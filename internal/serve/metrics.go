@@ -152,12 +152,8 @@ type Metrics struct {
 	shedThrottle   atomic.Uint64 // QoS: client over its token-bucket rate
 	shedWhileIdle  atomic.Uint64 // capacity sheds issued while some shard sat idle
 	expired        atomic.Uint64 // dequeued past deadline
-	rejectedDecode atomic.Uint64 // bodies rejected by the hardened decode
+	rejectedDecode atomic.Uint64 // frames rejected by the wire listener's decode
 }
-
-// NoteRejectedDecode counts one request body the hardened decode path
-// rejected before allocation (oversized payload/ClientID, bad base64).
-func (m *Metrics) NoteRejectedDecode() { m.rejectedDecode.Add(1) }
 
 // NewMetrics builds the metrics core for `shards` worker shards.
 func NewMetrics(shards int) *Metrics {
@@ -208,7 +204,6 @@ type OpStats struct {
 type Stats struct {
 	UptimeSeconds  float64            `json:"uptime_seconds"`
 	Shards         int                `json:"shards"`
-	Dispatch       string             `json:"dispatch,omitempty"`
 	QueueCap       int                `json:"queue_cap"`
 	QueueDepth     []int64            `json:"queue_depth"`
 	QueueCostUS    []int64            `json:"queue_cost_us,omitempty"`
@@ -231,18 +226,16 @@ type Stats struct {
 
 	// RSABatchWidth observes the lane count of every batched RSA-engine
 	// call; RSAOpsBatched/RSAOpsScalar split decrypts by serving path, so
-	// the batched-dispatch upgrade rate is visible directly.
+	// the batched upgrade rate is visible directly.
 	RSABatchWidth HistSnapshot `json:"rsa_batch_width"`
 	RSAOpsBatched uint64       `json:"rsa_ops_batched"`
 	RSAOpsScalar  uint64       `json:"rsa_ops_scalar"`
 
 	// BatchWidth/BatchGatherUS are the *live* values of the two batch
 	// knobs (they start at the flag values and move only under an
-	// adaptive governor); EngineConfig names the RSA engine configuration
-	// shards are currently converged on.
-	BatchWidth    int    `json:"batch_width,omitempty"`
-	BatchGatherUS int64  `json:"batch_gather_us,omitempty"`
-	EngineConfig  string `json:"engine_config,omitempty"`
+	// adaptive governor).
+	BatchWidth    int   `json:"batch_width,omitempty"`
+	BatchGatherUS int64 `json:"batch_gather_us,omitempty"`
 
 	// Governor exposes the adaptive governor's decision counters.  Nil
 	// when no governor is attached (wispd -govern=false).
@@ -283,15 +276,6 @@ type GovernorView struct {
 	WidthWidens   uint64 `json:"width_widens"`
 	WidthShrinks  uint64 `json:"width_shrinks"`
 	GatherChanges uint64 `json:"gather_changes"`
-	// ConfigSwitches counts engine re-selections applied; each then either
-	// survives its A/B verification window (ConfigConfirms) or is rolled
-	// back (ConfigRollbacks).
-	ConfigSwitches  uint64 `json:"config_switches"`
-	ConfigConfirms  uint64 `json:"config_confirms"`
-	ConfigRollbacks uint64 `json:"config_rollbacks"`
-	// RSATimeShare is the last observed fraction of serving time spent in
-	// rsa-decrypt work — the live mix fingerprint fed to the explorer.
-	RSATimeShare float64 `json:"rsa_time_share"`
 }
 
 // ReplicationView is the exported snapshot of the session-secret
@@ -395,9 +379,6 @@ func (s Stats) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "wispd_uptime_seconds %.3f\n", s.UptimeSeconds)
 	fmt.Fprintf(&b, "wispd_shards %d\n", s.Shards)
-	if s.Dispatch != "" {
-		fmt.Fprintf(&b, "wispd_dispatch{policy=%q} 1\n", s.Dispatch)
-	}
 	fmt.Fprintf(&b, "wispd_queue_cap %d\n", s.QueueCap)
 	for i, d := range s.QueueDepth {
 		fmt.Fprintf(&b, "wispd_queue_depth{shard=\"%d\"} %d\n", i, d)
@@ -435,18 +416,11 @@ func (s Stats) Text() string {
 		fmt.Fprintf(&b, "wispd_batch_width %d\n", s.BatchWidth)
 		fmt.Fprintf(&b, "wispd_batch_gather_us %d\n", s.BatchGatherUS)
 	}
-	if s.EngineConfig != "" {
-		fmt.Fprintf(&b, "wispd_engine_config{config=%q} 1\n", s.EngineConfig)
-	}
 	if gv := s.Governor; gv != nil {
 		fmt.Fprintf(&b, "wispd_governor_ticks_total %d\n", gv.Ticks)
 		fmt.Fprintf(&b, "wispd_governor_width_widen_total %d\n", gv.WidthWidens)
 		fmt.Fprintf(&b, "wispd_governor_width_shrink_total %d\n", gv.WidthShrinks)
 		fmt.Fprintf(&b, "wispd_governor_gather_changes_total %d\n", gv.GatherChanges)
-		fmt.Fprintf(&b, "wispd_governor_config_switch_total %d\n", gv.ConfigSwitches)
-		fmt.Fprintf(&b, "wispd_governor_config_confirm_total %d\n", gv.ConfigConfirms)
-		fmt.Fprintf(&b, "wispd_governor_config_rollback_total %d\n", gv.ConfigRollbacks)
-		fmt.Fprintf(&b, "wispd_governor_rsa_time_share %.4f\n", gv.RSATimeShare)
 	}
 	writeCache := func(name string, v *CacheStatsView) {
 		if v == nil {

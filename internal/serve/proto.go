@@ -15,7 +15,11 @@
 // throughput against the Figure 8 prediction.
 package serve
 
-import "fmt"
+import (
+	"fmt"
+
+	"wisp/internal/bufpool"
+)
 
 // Op names one offloadable operation.
 type Op string
@@ -77,9 +81,7 @@ const MaxPayload = 1 << 20
 // at decode time before any payload buffer is allocated.
 const MaxClientID = 64
 
-// ValidationError is the typed rejection for malformed requests.  The
-// hardened decode path returns it *before* allocating payload buffers, so
-// oversized or garbage inputs cost the gateway nothing but the parse.
+// ValidationError is the typed rejection for malformed requests.
 type ValidationError struct {
 	Field  string // offending request field ("payload", "client_id", ...)
 	Reason string
@@ -93,8 +95,8 @@ func invalidf(field, format string, args ...any) *ValidationError {
 	return &ValidationError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Request is one offload request.  Payload is base64 on the wire (Go's
-// encoding/json handles []byte that way).
+// Request is one offload request; internal/wire carries it between
+// nodes.
 type Request struct {
 	ID string `json:"id,omitempty"`
 	Op Op     `json:"op"`
@@ -138,9 +140,19 @@ type Request struct {
 
 // SetPreadmitted stamps the request with a Preadmit estimate: the client's
 // token bucket was already charged est µs at the envelope stage, so Submit
-// must not charge it again.  Front ends (the HTTP handler, the binary wire
-// listener) call this between Preadmit and Submit.
+// must not charge it again.  The wire listener calls this between
+// Preadmit and Submit.
 func (r *Request) SetPreadmitted(est int64) { r.preEst = est }
+
+// ReleaseRequest recycles a request's bufpool payload buffer (the wire
+// listener materializes payloads into pooled buffers).  The payload must
+// not be touched afterwards.
+func ReleaseRequest(req *Request) {
+	if req.Payload != nil {
+		bufpool.Put(req.Payload)
+		req.Payload = nil
+	}
+}
 
 // clientKey maps a request to its QoS accounting identity.
 func (r *Request) clientKey() string {
@@ -215,8 +227,7 @@ type Response struct {
 }
 
 // Validate applies admission-side request checks.  Every rejection is a
-// *ValidationError so callers (and the hardened decode path, which applies
-// the same size bounds before allocating) can classify it.
+// *ValidationError so callers can classify it.
 func (r *Request) Validate() error {
 	if !ValidOp(r.Op) {
 		return invalidf("op", "unknown op %q", r.Op)
@@ -240,4 +251,20 @@ func (r *Request) Validate() error {
 		return invalidf("resume", "op %q has no handshake to resume", r.Op)
 	}
 	return nil
+}
+
+// Transport performs request/response exchanges against a serving node.
+// internal/wire provides the binary protocol implementation, and a
+// cluster router (internal/gwroute) fans a Transport out over many nodes.
+type Transport interface {
+	// RoundTrip submits one request and blocks for its response.  A non-nil
+	// Response covers every parsed reply including shed/expired/error
+	// statuses; the error covers transport and decode failures only.
+	RoundTrip(req *Request) (*Response, error)
+	// Stats fetches the server's stats snapshot.
+	Stats() (*Stats, error)
+	// Healthy reports whether the server answers its health check.
+	Healthy() bool
+	// Close releases the transport's connections.
+	Close() error
 }

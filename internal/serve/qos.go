@@ -324,7 +324,7 @@ func (q *qos) admit(id string, est int64) bool {
 	return true
 }
 
-// cancel backs out one admitted-but-never-dispatched request — its
+// cancel backs out one admitted request that was never dispatched — its
 // payload failed to materialize after envelope preadmission, or
 // validation rejected it.  The spent tokens stay spent (a client whose
 // garbage passed pricing pays for the envelope it made the gateway parse)

@@ -141,47 +141,3 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("status = %v, want error", resp.Status)
 	}
 }
-
-// TestLoadResumeRatio runs the closed-loop generator with a resume ratio
-// against a live HTTP server and checks the report splits the resumed
-// class out with zero digest mismatches.
-func TestLoadResumeRatio(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2, RSABits: 512, Seed: 3})
-	rep, err := RunLoad(LoadConfig{
-		Addr:        addr,
-		Clients:     2,
-		PerClient:   12,
-		Mix:         []int{1 << 10},
-		Ops:         []Op{OpSSL},
-		ResumeRatio: 0.6,
-		Seed:        5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mismatches > 0 {
-		t.Errorf("%d digest mismatches", rep.Mismatches)
-	}
-	if rep.OK != 24 {
-		t.Errorf("ok = %d, want 24", rep.OK)
-	}
-	if rep.Resumed == 0 {
-		t.Error("resume ratio 0.6 produced no resumed transactions")
-	}
-	var sawResumedClass bool
-	for _, row := range rep.PerOp {
-		if row.Op == "ssl+resumed" {
-			sawResumedClass = true
-			if row.Latency.Count != rep.Resumed {
-				t.Errorf("resumed class has %d samples, report says %d resumed", row.Latency.Count, rep.Resumed)
-			}
-		}
-	}
-	if !sawResumedClass {
-		t.Error("report has no ssl+resumed latency class")
-	}
-	rec := NewBenchRecord(rep, nil)
-	if _, ok := rec.Ops["ssl+resumed"]; !ok {
-		t.Error("bench record missing the resumed op class")
-	}
-}

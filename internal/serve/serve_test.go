@@ -40,6 +40,45 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramSubMicrosecond pins the dedicated [0,1) µs bucket:
+// Microseconds() truncation yields 0 for fast ops, which must not be
+// folded into the [1,2) bucket or pull quantiles above the observed max.
+func TestHistogramSubMicrosecond(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 8; i++ {
+		h.Observe(0)
+	}
+	h.Observe(0.5)
+	h.Observe(3)
+	s := h.Snapshot()
+	if s.Count != 10 || s.Min != 0 || s.Max != 3 {
+		t.Fatalf("count/min/max = %d/%v/%v, want 10/0/3", s.Count, s.Min, s.Max)
+	}
+	if s.P50 >= 1 {
+		t.Errorf("p50 = %v for a mostly sub-µs population, want < 1", s.P50)
+	}
+	if s.P99 < 2 || s.P99 > 3 {
+		t.Errorf("p99 = %v, want within [2, 3]", s.P99)
+	}
+
+	// All-zero population: every quantile must clamp to 0, not report
+	// half a microsecond nobody observed.
+	var z Histogram
+	z.Observe(0)
+	z.Observe(0)
+	z.Observe(0)
+	if zs := z.Snapshot(); zs.P50 != 0 || zs.P99 != 0 || zs.Max != 0 {
+		t.Errorf("all-zero snapshot = %+v, want zero quantiles", zs)
+	}
+
+	// Boundary: 1 µs belongs to bucket [1,2), not the sub-µs bucket.
+	var b Histogram
+	b.Observe(1)
+	if bs := b.Snapshot(); bs.P50 != 1 {
+		t.Errorf("single 1µs observation p50 = %v, want 1 (clamped to max)", bs.P50)
+	}
+}
+
 // testGateway builds a small gateway that shuts down with the test.
 func testGateway(t *testing.T, cfg Config) *Gateway {
 	t.Helper()
@@ -103,90 +142,6 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	}
 	if s := gw.Stats(); s.Errors != 3 {
 		t.Errorf("stats errors = %d, want 3", s.Errors)
-	}
-}
-
-// TestLoopbackFigure8Mix is the acceptance loopback: daemon and load
-// generator in one process, the paper's 1k/4k/16k/32k mix at 4 concurrent
-// clients, zero corrupted payloads, populated latency histograms, shed
-// counters present, clean drain.
-func TestLoopbackFigure8Mix(t *testing.T) {
-	gw, addr := startServer(t, Config{Shards: 2, Seed: 3})
-	rep, err := RunLoad(LoadConfig{
-		Addr:      addr,
-		Clients:   4,
-		PerClient: 4,
-		Mix:       []int{1 << 10, 4 << 10, 16 << 10, 32 << 10},
-		Seed:      11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mismatches != 0 {
-		t.Fatalf("%d corrupted payloads", rep.Mismatches)
-	}
-	if rep.OK != 16 || rep.Transactions != 16 {
-		t.Fatalf("ok=%d transactions=%d, want 16/16: %+v", rep.OK, rep.Transactions, rep)
-	}
-	if rep.Latency.Count != 16 || rep.Latency.P50 <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Errorf("bad latency summary %+v", rep.Latency)
-	}
-	if len(rep.PerSize) != 4 {
-		t.Errorf("per-size rows = %d, want 4", len(rep.PerSize))
-	}
-	if rep.ModelSpeedup <= 1 {
-		t.Errorf("model speedup = %v, want > 1", rep.ModelSpeedup)
-	}
-
-	stats := gw.Stats()
-	ssl := stats.PerOp[string(OpSSL)]
-	if ssl.OK != 16 || ssl.Latency.Count != 16 {
-		t.Errorf("server ssl stats %+v, want 16 observations", ssl)
-	}
-	if ssl.Latency.P50 <= 0 || ssl.Latency.P99 < ssl.Latency.P50 {
-		t.Errorf("server latency histogram not populated: %+v", ssl.Latency)
-	}
-	if stats.BatchSize.Count == 0 {
-		t.Error("batch-size histogram empty")
-	}
-	if _, ok := stats.ShedByReason["queue-full"]; !ok {
-		t.Error("shed counters missing from stats")
-	}
-	if stats.Shed != 0 {
-		t.Errorf("unexpected sheds: %d", stats.Shed)
-	}
-}
-
-// TestLoopbackShedding overloads a deliberately tiny gateway through the
-// HTTP path and checks that shed requests are reported consistently on
-// both sides, with zero corruption among the served ones.
-func TestLoopbackShedding(t *testing.T) {
-	gw, addr := startServer(t, Config{Shards: 1, QueueDepth: 1, BatchMax: 1, Seed: 5})
-	rep, err := RunLoad(LoadConfig{
-		Addr:      addr,
-		Clients:   8,
-		PerClient: 4,
-		Mix:       []int{8 << 10}, // ~17 ms of 3DES per transaction: the queue must back up
-		Seed:      13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mismatches != 0 || rep.Errors != 0 {
-		t.Fatalf("mismatches=%d errors=%d", rep.Mismatches, rep.Errors)
-	}
-	if rep.Shed == 0 {
-		t.Fatal("overload produced no sheds — admission control not engaging")
-	}
-	stats := gw.Stats()
-	if stats.Shed != uint64(rep.Shed) {
-		t.Errorf("server reports %d sheds, clients saw %d", stats.Shed, rep.Shed)
-	}
-	if stats.ShedByReason["queue-full"] == 0 {
-		t.Error("queue-full shed counter not populated")
-	}
-	if got := stats.PerOp[string(OpSSL)]; got.Shed == 0 {
-		t.Error("per-op shed counter not populated")
 	}
 }
 
@@ -291,89 +246,131 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// startServer boots the HTTP front end on a free port and tears it down
-// with the test.
-func startServer(t *testing.T, cfg Config) (*Gateway, string) {
-	t.Helper()
-	gw, err := NewGateway(cfg)
+// TestHTTPEndpoints exercises the admin listener over a real socket:
+// /stats in both formats, the pprof index, and /healthz while serving
+// and (503) once draining.
+func TestHTTPEndpoints(t *testing.T) {
+	gw, err := NewGateway(Config{Shards: 1, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(gw)
-	addr, err := srv.Listen("127.0.0.1:0")
+	admin := NewAdmin(func() TextStats { return gw.Stats() }, gw.Draining)
+	addr, err := admin.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
+	go func() { serveDone <- admin.Serve() }()
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		if err := admin.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 		if err := <-serveDone; err != nil {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return gw, addr.String()
-}
-
-// TestHTTPEndpoints exercises /v1/offload, /stats (both formats) and
-// /healthz over a real socket.
-func TestHTTPEndpoints(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 1, Seed: 23})
-	c := NewClient(addr)
-	if !c.Healthy() {
-		t.Fatal("healthz not ok")
+	base := "http://" + addr.String()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
 	}
 
-	payload := []byte("endpoint check")
-	want := hashes.MD5Sum(payload)
-	resp, err := c.Do(&Request{ID: "e-1", Op: OpHMACSHA1, Payload: payload})
-	if err != nil {
+	if code, body := get("/healthz"); code != http.StatusOK || body != "ok\n" {
+		t.Fatalf("healthz = %d %q, want 200 ok", code, body)
+	}
+	if resp := gw.Submit(&Request{ID: "e-1", Op: OpHMACSHA1, Payload: []byte("endpoint check")}); resp.Status != StatusOK {
+		t.Fatalf("submit: %+v", resp)
+	}
+
+	code, body := get("/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats = %d", code)
+	}
+	var stats Stats
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusOK || resp.ID != "e-1" || !bytes.Equal(resp.Digest, want[:]) {
-		t.Fatalf("offload response %+v", resp)
-	}
-	if len(resp.Result) != hashes.SHA1Size {
-		t.Errorf("hmac-sha1 result length %d", len(resp.Result))
-	}
-
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Requests == 0 || stats.Shards != 1 {
+	if stats.Requests != 1 || stats.Shards != 1 {
 		t.Errorf("stats %+v", stats)
 	}
 
-	httpResp, err := http.Get("http://" + addr + "/stats?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(httpResp.Body)
-	httpResp.Body.Close()
-	for _, want := range []string{"wispd_requests_total", "wispd_shed_total{reason=\"queue-full\"}", "wispd_op_latency_us{op=\"hmac-sha1\",q=\"0.99\"}"} {
-		if !strings.Contains(string(text), want) {
+	_, text := get("/stats?format=text")
+	for _, want := range []string{"wispd_requests_total 1", "wispd_shed_total{reason=\"queue-full\"}", "wispd_op_latency_us{op=\"hmac-sha1\",q=\"0.99\"}"} {
+		if !strings.Contains(text, want) {
 			t.Errorf("text dump missing %q", want)
 		}
 	}
 
-	// Malformed body → 400, not a hung connection.
-	bad, err := http.Post("http://"+addr+"/v1/offload", "application/json", strings.NewReader("{"))
-	if err != nil {
+	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("pprof index = %d, want 200", code)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := gw.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body → %d, want 400", bad.StatusCode)
+	if code, body := get("/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+		t.Errorf("healthz while draining = %d %q, want 503 draining", code, body)
 	}
 }
 
-// TestRequestJSONRoundTrip pins the wire format the daemon and load
-// generator share.
+// TestDrainRacesSubmit submits from several goroutines while Drain runs,
+// over many gateway lifetimes — the shape of a SIGTERM landing on a
+// daemon with live traffic.  Every Submit must answer OK or shed
+// "draining", and Drain must return without the in-flight accounting
+// tripping over Submits that arrive while it waits.
+func TestDrainRacesSubmit(t *testing.T) {
+	lifetimes := 200
+	if testing.Short() {
+		lifetimes = 20
+	}
+	for life := 0; life < lifetimes; life++ {
+		gw, err := NewGateway(Config{Shards: 1, Seed: 29, SessionCap: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp := gw.Submit(&Request{Op: OpMD5, Payload: []byte("race")})
+					if resp.Status != StatusOK && resp.ShedReason != "draining" {
+						t.Errorf("submit during drain: %s (%s)", resp.Status, resp.Error)
+						return
+					}
+				}
+			}()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = gw.Drain(ctx)
+		cancel()
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("lifetime %d: drain: %v", life, err)
+		}
+	}
+}
+
+// TestRequestJSONRoundTrip pins Request's JSON field names.
 func TestRequestJSONRoundTrip(t *testing.T) {
 	req := &Request{ID: "r1", Op: Op3DES, Payload: []byte{1, 2, 3}, Key: make([]byte, 24), DeadlineUS: 500}
 	data, err := json.Marshal(req)

@@ -15,9 +15,9 @@ import (
 
 // Transport is the client side of the wire protocol: one TCP connection
 // multiplexing any number of in-flight requests, demultiplexed by the
-// connection-local sequence number.  It implements serve.Transport, so a
-// serve.Client (and everything above it — retry policy, hedging, the load
-// generator) runs over the binary protocol unchanged.
+// connection-local sequence number.  It implements serve.Transport, the
+// surface the load generator, the routing tier and session replication
+// all drive.
 //
 // A transport redials lazily: if the connection is down when a request
 // wants to send, one dial is attempted.  A request whose *write* fails is
@@ -27,9 +27,6 @@ import (
 // whether resubmission is safe.
 type Transport struct {
 	addr string
-	// timeout caps one round trip, mirroring the HTTP client's 5-minute
-	// overall budget.
-	timeout time.Duration
 
 	mu   sync.Mutex // guards conn/bw/enc/seq and frame writes
 	conn net.Conn
@@ -63,13 +60,15 @@ type result struct {
 	err    error
 }
 
+// roundTripTimeout caps one request's wait for its response.
+const roundTripTimeout = 5 * time.Minute
+
 // Dial connects a transport to a wire listener at addr ("host:port").
 // The first connection is established eagerly so configuration errors
 // surface here, not on the first request.
 func Dial(addr string) (*Transport, error) {
 	t := &Transport{
 		addr:    addr,
-		timeout: 5 * time.Minute,
 		pending: make(map[uint64]waiter),
 	}
 	t.mu.Lock()
@@ -79,13 +78,6 @@ func Dial(addr string) (*Transport, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// SetTimeout adjusts the per-round-trip budget (default 5 minutes).
-func (t *Transport) SetTimeout(d time.Duration) {
-	t.mu.Lock()
-	t.timeout = d
-	t.mu.Unlock()
 }
 
 // ensureConnLocked dials and sends the preamble if no connection is live.
@@ -234,10 +226,7 @@ func (t *Transport) RoundTrip(req *serve.Request) (*serve.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	d := t.timeout
-	t.mu.Unlock()
-	r, err := t.await(seq, ch, d)
+	r, err := t.await(seq, ch, roundTripTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -268,23 +257,6 @@ func (t *Transport) Stats() (*serve.Stats, error) {
 		return nil, fmt.Errorf("wire: decoding stats: %w", err)
 	}
 	return &s, nil
-}
-
-// StatsJSON fetches the raw stats document (a routing tier's stats are
-// not a serve.Stats; callers who want the real shape parse it themselves).
-func (t *Transport) StatsJSON() ([]byte, error) {
-	ch := make(chan result, 1)
-	seq, err := t.send(ch, func(dst []byte, seq uint64) ([]byte, error) {
-		return t.enc.StatsReq(dst, seq), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	r, err := t.await(seq, ch, 30*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return r.stats, nil
 }
 
 // Ping round-trips a ping frame, returning the node's piggybacked load

@@ -56,8 +56,8 @@ type ServerConfig struct {
 	// until a slot frees.  Default 256.
 	MaxConnInflight int
 	// ReadTimeout bounds how long one frame may take to arrive once its
-	// first byte has — the slow-loris defense, mirroring the HTTP front
-	// end's SetReadTimeout.  0 disables the bound.
+	// first byte has — the slow-loris defense.  An idle connection between
+	// frames is never cut.  0 disables the bound.
 	ReadTimeout time.Duration
 }
 
@@ -68,7 +68,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// Server accepts wire-protocol connections and drives a Handler.
+// Server accepts wire protocol connections and drives a Handler.
 type Server struct {
 	h   Handler
 	cfg ServerConfig
@@ -81,7 +81,7 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// NewServer wraps a handler with the binary-protocol front end.
+// NewServer wraps a handler with the binary protocol front end.
 func NewServer(h Handler, cfg ServerConfig) *Server {
 	return &Server{h: h, cfg: cfg.withDefaults(), conns: make(map[net.Conn]struct{})}
 }
@@ -227,17 +227,22 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer inflight.Wait()
 
 	for {
+		if s.cfg.ReadTimeout > 0 {
+			// Wait, unbounded, for the next frame's first byte; from there
+			// the whole frame — header length included — must arrive
+			// within ReadTimeout.
+			if _, err := br.Peek(1); err != nil {
+				return // idle close or peer gone
+			}
+			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+		}
 		hdrLen, err := binary.ReadUvarint(br)
 		if err != nil {
-			return // idle close or peer gone
+			return // idle close, peer gone or frame cut off by the deadline
 		}
 		if hdrLen == 0 || hdrLen > MaxHeader {
 			s.h.NoteRejectedDecode()
 			return
-		}
-		// The frame has started: bound how long the rest may dribble in.
-		if s.cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		hdr := bufpool.Get(int(hdrLen))
 		if _, err := io.ReadFull(br, hdr); err != nil {

@@ -1,10 +1,11 @@
-// Package wire is wispd's binary serving protocol: length-prefixed,
-// varint-framed request/response records multiplexed over one TCP
-// connection.  It exists because HTTP+JSON framing (base64 payload
-// expansion, header parsing, per-request connection bookkeeping) became a
-// first-order cost once the crypto hot paths went allocation-free — and
-// because a routing tier needs a compact load figure piggybacked on every
-// response, which HTTP has no cheap place for.
+// Package wire is the serving protocol of wispd and wispgw — their only
+// request path: length-prefixed, varint-framed request/response records
+// multiplexed over one TCP connection.  It replaced HTTP+JSON because
+// that framing (base64 payload expansion, header parsing, per-request
+// connection bookkeeping) became a first-order cost once the crypto hot
+// paths went allocation-free — and because a routing tier needs a
+// compact load figure piggybacked on every response, which HTTP has no
+// cheap place for.
 //
 // # Framing
 //
@@ -19,9 +20,9 @@
 // bounded by MaxHeader — parses completely before any body byte is read.
 // That ordering is the envelope-first admission contract: the server runs
 // QoS pre-admission on the parsed header and *discards* a refused
-// request's payload from the socket instead of buffering it, exactly as
-// the HTTP front end refuses a throttled client's body before base64
-// decoding it.
+// request's payload from the socket instead of buffering it, and a
+// header that declares an over-limit payload closes the connection
+// before a single body byte is read.
 //
 // `seq` is a connection-local request identifier chosen by the client;
 // responses echo it, so many requests can be in flight on one connection
@@ -109,7 +110,7 @@ const (
 // Wire limits.  Header fields have their own bounds so a malformed length
 // prefix can never commit the reader to a large buffer: the whole header
 // is capped by MaxHeader, and the payload bound is serve.MaxPayload — the
-// same admission limit the HTTP front end enforces.
+// gateway's own admission limit.
 const (
 	MaxHeader    = 4096             // one frame header
 	MaxID        = 128              // request/response ID string

@@ -297,11 +297,18 @@ func dialRaw(t *testing.T, addr string) (net.Conn, error) {
 // port, both torn down with the test.
 func startWireGateway(t *testing.T, cfg serve.Config) (*serve.Gateway, string) {
 	t.Helper()
+	return startWireGatewayWith(t, cfg, ServerConfig{})
+}
+
+// startWireGatewayWith is startWireGateway with an explicit listener
+// configuration.
+func startWireGatewayWith(t *testing.T, cfg serve.Config, scfg ServerConfig) (*serve.Gateway, string) {
+	t.Helper()
 	gw, err := serve.NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(gw, ServerConfig{})
+	srv := NewServer(gw, scfg)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +331,7 @@ func startWireGateway(t *testing.T, cfg serve.Config) (*serve.Gateway, string) {
 	return gw, addr.String()
 }
 
-// TestServerServesEveryOp is the wire-protocol twin of the gateway's
+// TestServerServesEveryOp is the wire protocol twin of the gateway's
 // every-op test: each primitive round-trips over a real TCP connection and
 // self-verifies its digest, and every response piggybacks a load figure.
 func TestServerServesEveryOp(t *testing.T) {
@@ -400,21 +407,19 @@ func TestServerMultiplexing(t *testing.T) {
 	}
 }
 
-// TestServeClientOverWire runs the full client stack (serve.Client with
-// retry policy) over the wire transport, plus the stats and health frames.
+// TestServeClientOverWire runs the transport's three client surfaces —
+// a request, the health ping and the stats frame — against a live gateway.
 func TestServeClientOverWire(t *testing.T) {
 	_, addr := startWireGateway(t, serve.Config{Shards: 1, Seed: 5})
 	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := serve.NewClientWith(tr)
-	client.SetRetryPolicy(serve.RetryPolicy{MaxAttempts: 2}, 1)
 	defer tr.Close()
 
 	payload := []byte("hello over the wire")
 	want := hashes.MD5Sum(payload)
-	resp, err := client.Do(&serve.Request{Op: serve.OpSSL, Payload: payload})
+	resp, err := tr.RoundTrip(&serve.Request{Op: serve.OpSSL, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +427,10 @@ func TestServeClientOverWire(t *testing.T) {
 		t.Fatalf("status %s digest ok=%v", resp.Status, bytes.Equal(resp.Digest, want[:]))
 	}
 
-	if !client.Healthy() {
+	if !tr.Healthy() {
 		t.Error("healthy = false on a live server")
 	}
-	stats, err := client.Stats()
+	stats, err := tr.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 # difference between the runs is -govern: the static run is stuck at
 # width 1, the governed run must observe the decrypt stream and widen
 # the batch engine at runtime.  1024-bit keys make the burst
-# compute-bound (at 512 bits the HTTP round trip dominates and dilutes
+# compute-bound (at 512 bits the request round trip dominates and dilutes
 # the batched engine's gain below the gate's threshold).
 #
 # Asserted: the governed run logs at least one width adaptation, its
@@ -18,11 +18,9 @@
 # over the mis-sized static run.  The governed record is written to
 # $BENCH_JSON (default BENCH_adapt.json) for CI artifacts.
 #
-# The governor runs with -govern-explore=false here: engine re-selection
-# needs a background ISS characterization that takes longer than this
-# gate's whole budget, and the width/gather loop is what the A/B is
-# exercising.  A fast -govern-tick makes adaptation land within the
-# burst's first fraction of a second.
+# The width/gather loop is what the A/B is exercising.  A fast
+# -govern-tick makes adaptation land within the burst's first fraction
+# of a second.
 set -eu
 
 BIN="${BIN:-bin}"
@@ -80,15 +78,15 @@ run_mix() {
 }
 
 # ---- Run A: static, mis-sized for the decrypt burst ----
-boot_wispd wispd_static.log -shards 1 -dispatch cost -seed 1 -batch-width 1 \
+boot_wispd wispd_static.log -shards 1 -seed 1 -batch-width 1 \
     -rsabits 1024 -metrics
 echo "serve-adapt: static width-1 run on $ADDR"
 run_mix load_static.log bench_static.json
 drain_wispd wispd_static.log
 
 # ---- Run B: same daemon shape, governed ----
-boot_wispd wispd_gov.log -shards 1 -dispatch cost -seed 1 -batch-width 1 \
-    -rsabits 1024 -govern -govern-tick 25ms -govern-explore=false -metrics
+boot_wispd wispd_gov.log -shards 1 -seed 1 -batch-width 1 \
+    -rsabits 1024 -govern -govern-tick 25ms -metrics
 echo "serve-adapt: governed run on $ADDR (tick 25ms)"
 run_mix load_gov.log bench_gov.json
 drain_wispd wispd_gov.log

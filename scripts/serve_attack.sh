@@ -9,8 +9,9 @@
 # legit workload (same seed — the legit byte streams are identical) with
 # all four adversarial profiles mixed in at a 25% attacker-client ratio:
 # flood (expensive op saturation), thrash (session-cache churn), oversize
-# (over-limit payloads against the hardened decode) and slowloris
-# (dribbled request bodies against the read timeout).  Attackers sustain
+# (max-size payloads, and headers declaring over-limit ones against the
+# wire listener's decode) and slowloris (dribbled request frames against
+# the read timeout).  Attackers sustain
 # their pressure for the whole legit replay and far outnumber legit
 # arrivals per second; the client ratio understates the traffic share.
 #
@@ -102,7 +103,7 @@ check_report() {
 #     work) so the DRR fair queue actually arbitrates dispatch order under
 #     contention; with a loose limit admitted attack ops FIFO-race legit
 #     ops to the shards and the bucket alone cannot protect the tail.
-WISPD_ARGS="-shards 2 -dispatch cost -seed 1 -metrics \
+WISPD_ARGS="-shards 2 -seed 1 -metrics \
     -client-rate 80000 -client-burst 100000 -fair-limit 10000 \
     -qos-quantum 5000 -max-cost 150000 -read-timeout 500ms"
 LEGIT_ARGS="-clients 12 -n 80 -ops ssl,record -mix 1k,4k,16k,32k \

@@ -67,8 +67,8 @@ wait_for_file() {
 boot_node() {
     idx="$1" log="$2"; shift 2
     : >"$TMP/wire$idx"
-    "$BIN/wispd" -addr 127.0.0.1:0 -listen-wire 127.0.0.1:0 \
-        -wire-addrfile "$TMP/wire$idx" "$@" >"$TMP/$log" 2>&1 &
+    "$BIN/wispd" -addr 127.0.0.1:0 \
+        -addrfile "$TMP/wire$idx" "$@" >"$TMP/$log" 2>&1 &
     NODE_PIDS="$NODE_PIDS $!"
     wait_for_file "$TMP/wire$idx" "wispd node $idx" "$log"
 }
@@ -79,7 +79,7 @@ boot_gw() {
     log="$1" backends="$2"
     : >"$TMP/gwwire"
     "$BIN/wispgw" -backends "$backends" -addr 127.0.0.1:0 \
-        -listen-wire 127.0.0.1:0 -wire-addrfile "$TMP/gwwire" -metrics \
+        -addrfile "$TMP/gwwire" -metrics \
         >"$TMP/$log" 2>&1 &
     GW_PID=$!
     wait_for_file "$TMP/gwwire" "wispgw" "$log"
@@ -126,7 +126,7 @@ json_field() {
 # Identical pure-resumption replays: every client performs one full
 # handshake then resumes it repeatedly.  Same seed, same client count, so
 # the only variable is the topology.
-AFF_ARGS="-proto wire -clients 8 -n 12 -ops handshake -resume-ratio 1 -seed 42"
+AFF_ARGS="-clients 8 -n 12 -ops handshake -resume-ratio 1 -seed 42"
 
 boot_node 1 node_a_single.log -shards 1 -seed 1
 echo "serve-cluster: phase A single node on $(cat "$TMP/wire1")"
@@ -185,7 +185,7 @@ TPUT_OPS="-n 10 -ops record -mix 4k -seed 7"
 boot_node 1 node_b_single.log -shards 1 -seed 1 $PACE
 echo "serve-cluster: phase B single node (paced)"
 # shellcheck disable=SC2086
-"$BIN/wispload" -addr "$(cat "$TMP/wire1")" -proto wire -clients 8 $TPUT_OPS \
+"$BIN/wispload" -addr "$(cat "$TMP/wire1")" -clients 8 $TPUT_OPS \
     -json -stats=false >"$TMP/report_tput_single.json"
 drain_all "" node_b_single.log
 check_clean "throughput single" "$TMP/report_tput_single.json"
@@ -196,7 +196,7 @@ boot_node 3 node_b3.log -shards 1 -seed 3 $PACE
 boot_gw gw_b.log "$(cat "$TMP/wire1"),$(cat "$TMP/wire2"),$(cat "$TMP/wire3")"
 echo "serve-cluster: phase B cluster (paced, 3 backends)"
 # shellcheck disable=SC2086
-"$BIN/wispload" -addr "$(cat "$TMP/gwwire")" -proto wire -clients 24 $TPUT_OPS \
+"$BIN/wispload" -addr "$(cat "$TMP/gwwire")" -clients 24 $TPUT_OPS \
     -json -stats=false -bench-out "$TMP/bench_cluster.json" \
     -bench-label cluster >"$TMP/report_tput_cluster.json"
 drain_all gw_b.log node_b1.log node_b2.log node_b3.log
@@ -229,7 +229,7 @@ VICTIM_PID="$(echo $NODE_PIDS | awk '{print $1}')"
 boot_gw gw_c.log "$(cat "$TMP/wire1"),$(cat "$TMP/wire2"),$(cat "$TMP/wire3")"
 echo "serve-cluster: phase C cluster up; killing one backend mid-run"
 # shellcheck disable=SC2086
-"$BIN/wispload" -addr "$(cat "$TMP/gwwire")" -proto wire -clients 24 \
+"$BIN/wispload" -addr "$(cat "$TMP/gwwire")" -clients 24 \
     -n 12 -ops record -mix 4k -seed 9 -json -stats=false \
     >"$TMP/report_kill.json" &
 LOAD_PID=$!
@@ -272,7 +272,7 @@ echo "serve-cluster: phase C ok — killed backend ejected, zero client-visible 
 # client falls back to a full handshake — the old behavior this feature
 # removes — and never more fallbacks on than off.  The split lands just
 # BEFORE the kill so every post-kill request is counted late.
-KILL_ARGS="-proto wire -clients 16 -n 36 -ops handshake -mix 1k -resume-ratio 1 -think-us 120000 -split-us 1800000 -seed 11"
+KILL_ARGS="-clients 16 -n 36 -ops handshake -mix 1k -resume-ratio 1 -think-us 120000 -split-us 1800000 -seed 11"
 
 run_kill_leg() {
     leg="$1" report="$2" peered="$3"
