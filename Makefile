@@ -64,14 +64,17 @@ bench:
 # bench-alloc measures allocation discipline on the steady-state hot
 # paths with -benchmem: ModExp/ModMul scratch-arena reuse, the pooled
 # record layer (Seal/Open must report 0 allocs/op after warmup), the
-# serve record op end to end, and the buffer pool itself.  These are the
-# numbers the benchcmp allocation gate holds the serving path to.
+# serve record op end to end, the buffer pool itself, and the cipher
+# block ops (0 allocs/op) and 3DES key set-up (1 alloc) beside their
+# crypto/aes and crypto/des comparators.  These are the numbers the
+# benchcmp allocation gate holds the serving path to.
 bench-alloc:
 	$(GO) test -bench 'ModExp1024|FixedBase|ModMulMontgomery' -benchmem -run '^$$' ./internal/mpz/
 	$(GO) test -bench 'RecordSeal|RecordRoundTrip' -benchmem -run '^$$' ./internal/ssl/
 	$(GO) test -bench 'ServeRecordOp|ServeResumedTransaction' -benchmem -run '^$$' ./internal/serve/
 	$(GO) test -bench 'WireEncode|WireParse' -benchmem -run '^$$' ./internal/wire/
 	$(GO) test -bench 'GetPut' -benchmem -run '^$$' ./internal/bufpool/
+	$(GO) test -bench 'CipherBlock|TripleKeySchedule' -benchmem -run '^$$' ./internal/aescipher/ ./internal/descipher/
 
 # bench-batch is the batched-kernel perf gate: measure the
 # BenchmarkBatchModExp1024/k={1,2,4,8} family fresh, gate ns/op and

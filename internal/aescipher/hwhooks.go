@@ -20,24 +20,10 @@ func SubWord(w uint32) uint32 { return subWord(w) }
 
 // MixColumn applies the MixColumns matrix to one column held as a
 // big-endian word (byte 0 of the column in the most significant byte).
-func MixColumn(col uint32) uint32 {
-	a0, a1, a2, a3 := byte(col>>24), byte(col>>16), byte(col>>8), byte(col)
-	b0 := gfMul(a0, 2) ^ gfMul(a1, 3) ^ a2 ^ a3
-	b1 := a0 ^ gfMul(a1, 2) ^ gfMul(a2, 3) ^ a3
-	b2 := a0 ^ a1 ^ gfMul(a2, 2) ^ gfMul(a3, 3)
-	b3 := gfMul(a0, 3) ^ a1 ^ a2 ^ gfMul(a3, 2)
-	return uint32(b0)<<24 | uint32(b1)<<16 | uint32(b2)<<8 | uint32(b3)
-}
+func MixColumn(col uint32) uint32 { return mixColumn(col) }
 
 // InvMixColumn applies the inverse MixColumns matrix to one column.
-func InvMixColumn(col uint32) uint32 {
-	a0, a1, a2, a3 := byte(col>>24), byte(col>>16), byte(col>>8), byte(col)
-	b0 := gfMul(a0, 14) ^ gfMul(a1, 11) ^ gfMul(a2, 13) ^ gfMul(a3, 9)
-	b1 := gfMul(a0, 9) ^ gfMul(a1, 14) ^ gfMul(a2, 11) ^ gfMul(a3, 13)
-	b2 := gfMul(a0, 13) ^ gfMul(a1, 9) ^ gfMul(a2, 14) ^ gfMul(a3, 11)
-	b3 := gfMul(a0, 11) ^ gfMul(a1, 13) ^ gfMul(a2, 9) ^ gfMul(a3, 14)
-	return uint32(b0)<<24 | uint32(b1)<<16 | uint32(b2)<<8 | uint32(b3)
-}
+func InvMixColumn(col uint32) uint32 { return invMixColumn(col) }
 
 // GFMul exposes GF(2⁸) multiplication for the assembly generator's
 // reference tests.
@@ -46,8 +32,8 @@ func GFMul(a, b byte) byte { return gfMul(a, b) }
 // RoundKeys returns the expanded key schedule as rounds+1 groups of four
 // big-endian column words.
 func (c *Cipher) RoundKeys() [][4]uint32 {
-	out := make([][4]uint32, len(c.enc))
-	copy(out, c.enc)
+	out := make([][4]uint32, c.rounds+1)
+	copy(out, c.enc[:])
 	return out
 }
 

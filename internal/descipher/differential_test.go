@@ -72,3 +72,36 @@ func TestDifferentialTripleDES(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialTwoKeyTripleDES cross-checks two-key EDE (K1 K2 K1) on
+// 1000 random 16-byte keys against crypto/des given the equivalent
+// 24-byte key.
+func TestDifferentialTwoKeyTripleDES(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	key := make([]byte, 16)
+	block := make([]byte, 8)
+	ours := make([]byte, 8)
+	ref := make([]byte, 8)
+	back := make([]byte, 8)
+	for i := 0; i < 1000; i++ {
+		rng.Read(key)
+		rng.Read(block)
+		c, err := NewTripleCipher(key)
+		if err != nil {
+			t.Fatalf("case %d: NewTripleCipher: %v", i, err)
+		}
+		std, err := des.NewTripleDESCipher(append(append([]byte{}, key...), key[:8]...))
+		if err != nil {
+			t.Fatalf("case %d: crypto/des: %v", i, err)
+		}
+		c.Encrypt(ours, block)
+		std.Encrypt(ref, block)
+		if !bytes.Equal(ours, ref) {
+			t.Fatalf("case %d: key %x block %x: got %x, crypto/des %x", i, key, block, ours, ref)
+		}
+		c.Decrypt(back, ours)
+		if !bytes.Equal(back, block) {
+			t.Fatalf("case %d: decrypt round-trip failed: %x -> %x", i, block, back)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // task-by-task and never batches), and verifies every response.
 func rsaBurstBehindSlowOp(t *testing.T, gw *Gateway, n int) {
 	t.Helper()
-	slow := make([]byte, 64<<10)
+	slow := slowPayload()
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
 	waitBusy(t, gw)

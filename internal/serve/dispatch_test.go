@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// slowPayload is an ssl payload whose transaction holds a shard long
+// enough to be observed busy and to queue work behind it: the largest
+// legal payload, about 160 ms of 3DES-CBC and HMAC records on the 2-vCPU
+// test host.
+func slowPayload() []byte { return make([]byte, MaxPayload) }
+
 // waitBusy polls until some shard has a nonzero backlog cost (a task is
 // queued or in service), failing the test after 2 s.
 func waitBusy(t *testing.T, gw *Gateway) {
@@ -29,7 +35,7 @@ func waitBusy(t *testing.T, gw *Gateway) {
 // shard — zero deadline sheds, zero sheds-while-idle, everything OK.
 func TestNoHeadOfLineBlockingWhileIdle(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 2, Seed: 31})
-	slow := make([]byte, 64<<10)
+	slow := slowPayload()
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
 	waitBusy(t, gw)
@@ -112,7 +118,7 @@ func servingShard(t *testing.T, gw *Gateway) *shard {
 // breakdown.
 func TestWorkStealing(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 2, BatchMax: 1, Seed: 33})
-	slow := make([]byte, 128<<10)
+	slow := slowPayload()
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
 	idle := gw.shards[1-servingShard(t, gw).id]

@@ -189,14 +189,15 @@ func TestLoopbackAttackIsolation(t *testing.T) {
 	// tracks wall service time, so a client's spend rate is its share of
 	// serving capacity.  A serial legit client holds one round trip at a
 	// time and demands at most a couple hundred ms of estimated work per
-	// second even race-inflated; the 16-stream flood attacker demands
-	// full-handshake SSL continuously from every stream — megaseconds of
-	// estimated work per second, an order of magnitude over any sane
-	// budget.  A 300ms/s rate sits far from both: legit clients never
-	// touch it, the flood burns its burst in well under a second.  (A
-	// thrash attacker's cheap handshakes sit too close to the legit share
-	// for a host-independent verdict, so the churn profile rides along
-	// for its cache pressure, not for the throttle assertion.)
+	// second even race-inflated; the 64-stream flood attacker demands
+	// full-handshake SSL continuously from every stream.  A 4 KB
+	// full-handshake op costs about 1 ms of estimated work, so 16 such
+	// streams offer only about 200 ms/s, under the rate, while 64 offer
+	// several times it.  A 300ms/s rate sits far from both: legit clients
+	// never touch it, the flood burns its burst in well under a second.
+	// (A thrash attacker's cheap handshakes sit too close to the legit
+	// share for a host-independent verdict, so the churn profile rides
+	// along for its cache pressure, not for the throttle assertion.)
 	// The read timeout must be generous enough that a legit body read
 	// delayed by detector-inflated scheduling never trips it, while the
 	// slowloris dribble below stretches well past it.
@@ -217,7 +218,7 @@ func TestLoopbackAttackIsolation(t *testing.T) {
 
 		Attack:            []loadgen.AttackProfile{loadgen.AttackFlood, loadgen.AttackThrash, loadgen.AttackSlowloris},
 		AttackRatio:       0.25,
-		AttackConcurrency: 16,
+		AttackConcurrency: 64,
 		AttackRTTUS:       2000, // near-loopback attackers; pacing only bounds the throttle-spin rate
 		SlowlorisMS:       1500,
 	})

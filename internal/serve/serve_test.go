@@ -149,7 +149,7 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 // transaction and expects deadline-aware rejection at dequeue.
 func TestDeadlineExpiry(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 1, BatchMax: 1, Seed: 9})
-	slow := make([]byte, 32<<10)
+	slow := slowPayload()
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
 	time.Sleep(10 * time.Millisecond) // let the worker dequeue the slow op
@@ -171,7 +171,7 @@ func TestDeadlineExpiry(t *testing.T) {
 // expects them to be served as one same-op batch.
 func TestRecordBatching(t *testing.T) {
 	gw := testGateway(t, Config{Shards: 1, Seed: 17})
-	slow := make([]byte, 32<<10)
+	slow := slowPayload()
 	done := make(chan *Response, 1)
 	go func() { done <- gw.Submit(&Request{Op: OpSSL, Payload: slow}) }()
 	time.Sleep(10 * time.Millisecond)

@@ -212,16 +212,20 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ssl: record shorter than MAC")
 	}
 	payload := unpadded[:len(unpadded)-hashes.MD5Size]
-	gotMAC := unpadded[len(unpadded)-hashes.MD5Size:]
-	wantMAC := s.recordMAC(s.recvMAC, s.recvSeq, payload)
-	// Constant-time comparison: a byte-wise equality that exits on the
-	// first mismatch leaks how much of a forged MAC was correct through
-	// timing — exactly the side channel a security gateway must not add.
-	if subtle.ConstantTimeCompare(gotMAC, wantMAC) != 1 {
+	if !s.verifyMAC(payload, unpadded[len(unpadded)-hashes.MD5Size:]) {
 		return nil, fmt.Errorf("ssl: record MAC verification failed (seq %d)", s.recvSeq)
 	}
 	s.recvSeq++
 	return payload, nil
+}
+
+// verifyMAC reports whether mac authenticates payload at the receive
+// sequence number.  The comparison is constant-time: a byte-wise equality
+// that exits on the first mismatch leaks how much of a forged MAC was
+// correct through timing — exactly the side channel a security gateway
+// must not add.
+func (s *Session) verifyMAC(payload, mac []byte) bool {
+	return subtle.ConstantTimeCompare(mac, s.recordMAC(s.recvMAC, s.recvSeq, payload)) == 1
 }
 
 // recordMAC computes the record MAC into the session's scratch using the
