@@ -64,17 +64,21 @@ bench:
 # bench-alloc measures allocation discipline on the steady-state hot
 # paths with -benchmem: ModExp/ModMul scratch-arena reuse, the pooled
 # record layer (Seal/Open must report 0 allocs/op after warmup), the
-# serve record op end to end, the buffer pool itself, and the cipher
-# block ops (0 allocs/op) and 3DES key set-up (1 alloc) beside their
-# crypto/aes and crypto/des comparators.  These are the numbers the
-# benchcmp allocation gate holds the serving path to.
+# serve record op end to end, the buffer pool itself, the cipher block
+# ops (0 allocs/op) and 3DES key set-up (1 alloc) beside their crypto/aes
+# and crypto/des comparators, the 64-byte MD5 and SHA-1 digests (0
+# allocs/op) beside crypto/md5 and crypto/sha1, and 64-byte wire round
+# trips direct and through gwroute, one and 16 in flight, with the frames
+# each side packs into one write.  These are the numbers the benchcmp
+# allocation gate holds the serving path to.
 bench-alloc:
 	$(GO) test -bench 'ModExp1024|FixedBase|ModMulMontgomery' -benchmem -run '^$$' ./internal/mpz/
 	$(GO) test -bench 'RecordSeal|RecordRoundTrip' -benchmem -run '^$$' ./internal/ssl/
 	$(GO) test -bench 'ServeRecordOp|ServeResumedTransaction' -benchmem -run '^$$' ./internal/serve/
-	$(GO) test -bench 'WireEncode|WireParse' -benchmem -run '^$$' ./internal/wire/
+	$(GO) test -bench 'WireEncode|WireParse|WireRoundTrip' -benchmem -run '^$$' ./internal/wire/
 	$(GO) test -bench 'GetPut' -benchmem -run '^$$' ./internal/bufpool/
 	$(GO) test -bench 'CipherBlock|TripleKeySchedule' -benchmem -run '^$$' ./internal/aescipher/ ./internal/descipher/
+	$(GO) test -bench 'Digest64' -benchmem -run '^$$' ./internal/hashes/
 
 # bench-batch is the batched-kernel perf gate: measure the
 # BenchmarkBatchModExp1024/k={1,2,4,8} family fresh, gate ns/op and

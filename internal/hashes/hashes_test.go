@@ -64,6 +64,38 @@ func TestAgainstStdlibRandom(t *testing.T) {
 	}
 }
 
+// TestDigestsMatchStdlibEveryLength checks MD5 and SHA-1 against the
+// standard library at every length from 0 to 300 bytes — every padding
+// case, up to four blocks — written whole and split in two at every
+// point.
+func TestDigestsMatchStdlibEveryLength(t *testing.T) {
+	msg := make([]byte, 300)
+	rand.New(rand.NewSource(62)).Read(msg)
+	for n := 0; n <= len(msg); n++ {
+		m := msg[:n]
+		wantMD5, wantSHA := stdmd5.Sum(m), stdsha1.Sum(m)
+		if got := MD5Sum(m); got != wantMD5 {
+			t.Fatalf("MD5 of %d bytes = %x, want %x", n, got, wantMD5)
+		}
+		if got := SHA1Sum(m); got != wantSHA {
+			t.Fatalf("SHA1 of %d bytes = %x, want %x", n, got, wantSHA)
+		}
+		for k := 0; k <= n; k++ {
+			md, sh := NewMD5(), NewSHA1()
+			md.Write(m[:k])
+			md.Write(m[k:])
+			sh.Write(m[:k])
+			sh.Write(m[k:])
+			if got := md.Sum(nil); !bytes.Equal(got, wantMD5[:]) {
+				t.Fatalf("MD5 of %d bytes written as %d+%d = %x, want %x", n, k, n-k, got, wantMD5)
+			}
+			if got := sh.Sum(nil); !bytes.Equal(got, wantSHA[:]) {
+				t.Fatalf("SHA1 of %d bytes written as %d+%d = %x, want %x", n, k, n-k, got, wantSHA)
+			}
+		}
+	}
+}
+
 func TestIncrementalWriteEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	f := func() bool {

@@ -6,7 +6,10 @@
 // "miscellaneous" workload share.
 package hashes
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // MD5Size is the MD5 digest length in bytes.
 const MD5Size = 16
@@ -95,35 +98,37 @@ func (m *MD5) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// block compresses one 64-byte block: four rounds of 16 steps, each
+// round with its own boolean function and message-word order.
 func (m *MD5) block(p []byte) {
 	var x [16]uint32
 	for i := range x {
 		x[i] = binary.LittleEndian.Uint32(p[4*i:])
 	}
 	a, b, c, d := m.h[0], m.h[1], m.h[2], m.h[3]
-	for i := 0; i < 64; i++ {
-		var f uint32
-		var g int
-		switch {
-		case i < 16:
-			f = (b & c) | (^b & d)
-			g = i
-		case i < 32:
-			f = (d & b) | (^d & c)
-			g = (5*i + 1) % 16
-		case i < 48:
-			f = b ^ c ^ d
-			g = (3*i + 5) % 16
-		default:
-			f = c ^ (b | ^d)
-			g = (7 * i) % 16
-		}
-		f += a + md5K[i] + x[g]
-		a = d
-		d = c
-		c = b
-		s := md5Shifts[i]
-		b += f<<s | f>>(32-s)
+	// Round 1: F(b,c,d) = (b & c) | (^b & d), words in order.
+	for i := 0; i < 16; i++ {
+		f := (b&c | ^b&d) + a + md5K[i] + x[i]
+		a, d, c = d, c, b
+		b += bits.RotateLeft32(f, int(md5Shifts[i]))
+	}
+	// Round 2: G(b,c,d) = (d & b) | (^d & c), word (5i+1) mod 16.
+	for i := 16; i < 32; i++ {
+		f := (d&b | ^d&c) + a + md5K[i] + x[(5*i+1)&15]
+		a, d, c = d, c, b
+		b += bits.RotateLeft32(f, int(md5Shifts[i]))
+	}
+	// Round 3: H(b,c,d) = b ^ c ^ d, word (3i+5) mod 16.
+	for i := 32; i < 48; i++ {
+		f := (b ^ c ^ d) + a + md5K[i] + x[(3*i+5)&15]
+		a, d, c = d, c, b
+		b += bits.RotateLeft32(f, int(md5Shifts[i]))
+	}
+	// Round 4: I(b,c,d) = c ^ (b | ^d), word 7i mod 16.
+	for i := 48; i < 64; i++ {
+		f := (c ^ (b | ^d)) + a + md5K[i] + x[(7*i)&15]
+		a, d, c = d, c, b
+		b += bits.RotateLeft32(f, int(md5Shifts[i]))
 	}
 	m.h[0] += a
 	m.h[1] += b
@@ -143,19 +148,26 @@ func (m *MD5) Sum(b []byte) []byte {
 // one-shot and HMAC paths free of heap allocation.
 func (m *MD5) sumArray() [MD5Size]byte {
 	cp := *m
-	bitLen := cp.len * 8
-	cp.Write([]byte{0x80})
-	for cp.n != 56 {
-		cp.Write([]byte{0})
-	}
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], bitLen)
-	cp.Write(lenBuf[:])
+	var pad [MD5BlockSize + 8]byte
+	n := padLen(cp.n)
+	pad[0] = 0x80
+	binary.LittleEndian.PutUint64(pad[n:], cp.len*8)
+	cp.Write(pad[:n+8])
 	var out [MD5Size]byte
 	for i, v := range cp.h {
 		binary.LittleEndian.PutUint32(out[4*i:], v)
 	}
 	return out
+}
+
+// padLen is the length of the 0x80-and-zeros padding that takes a block
+// holding n buffered bytes to 56 bytes mod 64, leaving room for the
+// 8-byte message length.  MD5 and SHA-1 pad alike.
+func padLen(n int) int {
+	if n < 56 {
+		return 56 - n
+	}
+	return 120 - n
 }
 
 // MD5Sum is the one-shot convenience.  It allocates nothing.

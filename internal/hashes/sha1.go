@@ -108,14 +108,11 @@ func (s *SHA1) Sum(b []byte) []byte {
 // one-shot and HMAC paths free of heap allocation.
 func (s *SHA1) sumArray() [SHA1Size]byte {
 	cp := *s
-	bitLen := cp.len * 8
-	cp.Write([]byte{0x80})
-	for cp.n != 56 {
-		cp.Write([]byte{0})
-	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], bitLen)
-	cp.Write(lenBuf[:])
+	var pad [SHA1BlockSize + 8]byte
+	n := padLen(cp.n)
+	pad[0] = 0x80
+	binary.BigEndian.PutUint64(pad[n:], cp.len*8)
+	cp.Write(pad[:n+8])
 	var out [SHA1Size]byte
 	for i, v := range cp.h {
 		binary.BigEndian.PutUint32(out[4*i:], v)

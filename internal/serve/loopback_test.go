@@ -184,31 +184,34 @@ func TestLoopbackAttackIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mixed adversarial run is seconds long")
 	}
-	// The rate is chosen share-wise so the verdict is independent of host
-	// speed (and of the race detector's ~10x slowdown): estimated cost
-	// tracks wall service time, so a client's spend rate is its share of
-	// serving capacity.  A serial legit client holds one round trip at a
-	// time and demands at most a couple hundred ms of estimated work per
-	// second even race-inflated; the 64-stream flood attacker demands
-	// full-handshake SSL continuously from every stream.  A 4 KB
-	// full-handshake op costs about 1 ms of estimated work, so 16 such
-	// streams offer only about 200 ms/s, under the rate, while 64 offer
-	// several times it.  A 300ms/s rate sits far from both: legit clients
-	// never touch it, the flood burns its burst in well under a second.
-	// (A thrash attacker's cheap handshakes sit too close to the legit
-	// share for a host-independent verdict, so the churn profile rides
-	// along for its cache pressure, not for the throttle assertion.)
-	// The read timeout must be generous enough that a legit body read
-	// delayed by detector-inflated scheduling never trips it, while the
-	// slowloris dribble below stretches well past it.
+	// The rate comes from the test's own config, not from host or cipher
+	// speed: twice a legit client's fair share of the shards,
+	// 2 × shards × 1 s/s ÷ legit clients, about 667 ms/s of estimated
+	// work per second here.  A serial legit client holds one round trip
+	// at a time, so it cannot spend more than its share even when service
+	// time dominates its round trips, as under the race detector.  With
+	// the per-client cost counters logged, the most a legit client spent
+	// was 27–28 ms/s in plain runs and 43–66 ms/s under -race, with at
+	// most 1 legit shed of 120.  The flood must demand several times the
+	// rate on any host: 256 streams of 4 KB full-handshake SSL offered
+	// 4.9–5.0 s/s in plain runs (7× the rate) and 9–22 s/s under -race,
+	// so most of its arrivals are throttled.  64 streams offered only
+	// 1.0 s/s in plain runs, 128 streams 2.0 s/s.  (A thrash attacker's
+	// cheap handshakes sit too close to the legit share for a
+	// host-independent verdict, so the churn profile rides along for its
+	// cache pressure, not for the throttle assertion.)  The read timeout
+	// must be generous enough that a legit body read delayed by
+	// detector-inflated scheduling never trips it, while the slowloris
+	// dribble below stretches well past it.
+	const shards, legitClients = 2, 6
 	gw, addr := startWireGateway(t, serve.Config{
-		Shards: 2, Seed: 9,
-		ClientRateUS: 300_000, ClientBurstUS: 100_000,
+		Shards: shards, Seed: 9,
+		ClientRateUS: 2 * shards * 1_000_000 / legitClients, ClientBurstUS: 100_000,
 	}, 500*time.Millisecond)
 
 	rep, err := loadgen.Run(loadgen.Config{
 		Addr:        addr,
-		Clients:     6,
+		Clients:     legitClients,
 		PerClient:   20,
 		Mix:         []int{1 << 10, 4 << 10},
 		Ops:         []serve.Op{serve.OpSSL, serve.OpRecord},
@@ -218,7 +221,7 @@ func TestLoopbackAttackIsolation(t *testing.T) {
 
 		Attack:            []loadgen.AttackProfile{loadgen.AttackFlood, loadgen.AttackThrash, loadgen.AttackSlowloris},
 		AttackRatio:       0.25,
-		AttackConcurrency: 64,
+		AttackConcurrency: 256,
 		AttackRTTUS:       2000, // near-loopback attackers; pacing only bounds the throttle-spin rate
 		SlowlorisMS:       1500,
 	})
@@ -278,7 +281,7 @@ func TestLoopbackAttackIsolation(t *testing.T) {
 			found++
 		}
 	}
-	if found != 6 {
-		t.Fatalf("per-client table tracks %d legit identities, want 6: %+v", found, stats.QoS.Clients)
+	if found != legitClients {
+		t.Fatalf("per-client table tracks %d legit identities, want %d: %+v", found, legitClients, stats.QoS.Clients)
 	}
 }
